@@ -49,14 +49,12 @@ class Run {
   /// the program: it counts as failed but leaves the verdict alone.
   void known_failure(bool failed, const std::string& what);
 
-  /// Sets a metric declared in main.cpp's tables (and BENCHMARK.json).
+  /// Sets a measured figure; its name is one that BENCHMARK.json declares.
   void metric(const std::string& name, double value);
 
-  /// Prints the result object as the last line of standard output: every
-  /// end-to-end metric, or with `trace` every per-layer metric (0 for a
-  /// layer this workload does not exercise).  Throws when an end-to-end
-  /// metric was not measured.
-  void print(bool trace) const;
+  /// Prints the verdict, the operation counts and every measured figure
+  /// as one JSON object, the last line of standard output.
+  void print() const;
 
  private:
   bool correct_ = true;
@@ -94,16 +92,20 @@ void run_rounds(const Options& options, Round&& round) {
   } while (rounds < min_rounds || since(t0) < options.seconds);
 }
 
+/// Seconds `f` takes.
+template <typename F>
+double timed(F&& f) {
+  const Clock::time_point t0 = Clock::now();
+  f();
+  return since(t0);
+}
+
 /// Times `setup` `times` times and returns the median seconds; the last
 /// set-up's state is the one the run keeps.
 template <typename Setup>
 double median_setup(int times, Setup&& setup) {
   Samples s;
-  for (int i = 0; i < times; ++i) {
-    const Clock::time_point t0 = Clock::now();
-    setup();
-    s.add(since(t0));
-  }
+  for (int i = 0; i < times; ++i) s.add(timed(setup));
   return s.median();
 }
 

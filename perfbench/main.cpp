@@ -6,9 +6,11 @@
 // (see README.md).  Each run sets up its seeded inputs, repeats whole
 // rounds of the workload's operations for S seconds, checks every output
 // against the benchmark's own oracles, and prints one JSON object as the
-// last line of standard output: the end-to-end metrics with --trace 0, the
-// per-layer metrics with --trace 1.  Progress and diagnostics go to
-// standard error.
+// last line of standard output: the verdict, the operation counts and
+// every figure it measured, by name.  With --trace 1 it also times each
+// layer.  run.py turns that line into the benchmark's result, with the
+// metric names and units of BENCHMARK.json.  Progress and diagnostics go
+// to standard error.
 #include <sys/resource.h>
 
 #include <algorithm>
@@ -56,133 +58,26 @@ void Run::known_failure(bool failed, const std::string& what) {
   ++failed_;
 }
 
-namespace {
-
-struct MetricSpec {
-  const char* name;
-  const char* unit;
-};
-
-// Every workload reports every end-to-end metric (--trace 0).  An
-// "operation" is the workload's unit of work: one pipeline chain, one
-// text_bytes job, one served plan.
-constexpr MetricSpec kEndToEnd[] = {
-    {"setup_s", "s"},
-    {"peak_rss_mb", "MiB"},
-    {"op_p50_ms", "ms"},
-};
-
-// The traced run (--trace 1) prints all of these; a layer the workload
-// bypasses reads 0.  Keep in step with BENCHMARK.json's per_layer list.
-constexpr MetricSpec kPerLayer[] = {
-    {"trace.overhead_pct", "%"},
-    // Workload-level figures behind op_p50_ms.
-    {"html18m_s", "s"},
-    {"text400k_ms", "ms"},
-    {"grep_mb_s", "MB/s"},
-    {"tag_mb_s", "MB/s"},
-    {"wordcount_mb_s", "MB/s"},
-    {"plans_per_s", "1/s"},
-    {"plan_p50_us", "us"},
-    {"plan_p99_us", "us"},
-    {"ingest_p50_us", "us"},
-    // corpus
-    {"corpus.generate_s", "s"},
-    {"corpus.textgen_mb_s", "MB/s"},
-    // reshape
-    {"reshape.merge_s", "s"},
-    {"reshape.merge_items_per_s", "1/s"},
-    {"reshape.blocks", "count"},
-    {"reshape.fill_factor", "ratio"},
-    {"reshape.merge_parallel_s", "s"},
-    {"reshape.merge_parallel_fill_factor", "ratio"},
-    {"reshape.materialize_s", "s"},
-    // cloud
-    {"cloud.screen_s", "s"},
-    {"cloud.launches", "count"},
-    {"cloud.failures", "count"},
-    // model
-    {"model.fit_s", "s"},
-    {"model.makespan_ratio", "ratio"},
-    // provision
-    {"provision.plan_s", "s"},
-    {"provision.plan_deadline_ratio", "ratio"},
-    {"provision.instances", "count"},
-    {"provision.execute_s", "s"},
-    {"provision.retrieve_s", "s"},
-    {"provision.deadlines_missed", "count"},
-    {"provision.cost_usd", "USD"},
-    {"pipeline.residue_ms", "ms"},
-    // textproc
-    {"textproc.grep_literal_mb_s", "MB/s"},
-    {"textproc.grep_regex_mb_s", "MB/s"},
-    {"textproc.grep_files_mb_s", "MB/s"},
-    {"textproc.tokenize_mb_s", "MB/s"},
-    {"textproc.tag_mb_s", "MB/s"},
-    {"textproc.tag_accuracy", "ratio"},
-    // mapreduce
-    {"mapreduce.map_s", "s"},
-    {"mapreduce.shuffle_s", "s"},
-    {"mapreduce.reduce_s", "s"},
-    {"mapreduce.shuffle_mb", "MB"},
-    {"mapreduce.wordcount_1t_mb_s", "MB/s"},
-    // serve
-    {"serve.hit_us", "us"},
-    {"serve.miss_us", "us"},
-    {"serve.hit_ratio", "ratio"},
-    {"serve.batch_mean", "count"},
-    {"serve.queue_depth_max", "count"},
-    {"serve.ingest_p99_us", "us"},
-    {"serve.direct_plan_us", "us"},
-};
-
-bool declared(const std::string& name) {
-  for (const MetricSpec& m : kEndToEnd) {
-    if (name == m.name) return true;
-  }
-  for (const MetricSpec& m : kPerLayer) {
-    if (name == m.name) return true;
-  }
-  return false;
-}
-
-}  // namespace
-
 void Run::metric(const std::string& name, double value) {
-  if (!declared(name)) {
-    throw std::logic_error("undeclared metric " + name);
+  if (!std::isfinite(value)) {
+    throw std::logic_error("non-finite metric " + name);
   }
   values_[name] = value;
 }
 
-void Run::print(bool trace) const {
+void Run::print() const {
   std::string out = "{\"correct\": ";
   out += correct_ ? "true" : "false";
   out += ", \"attempted\": " + std::to_string(attempted_);
   out += ", \"failed\": " + std::to_string(failed_);
-  out += ", \"metrics\": {";
+  out += ", \"values\": {";
   bool first = true;
-  auto emit = [&](const MetricSpec& m) {
-    const auto it = values_.find(m.name);
-    if (it == values_.end() && !trace) {
-      throw std::logic_error(std::string("end-to-end metric not measured: ") +
-                             m.name);
-    }
-    const double v = it == values_.end() ? 0.0 : it->second;
-    if (!std::isfinite(v)) {
-      throw std::logic_error(std::string("non-finite metric ") + m.name);
-    }
+  for (const auto& [name, v] : values_) {
     char value[64];
     std::snprintf(value, sizeof value, "%.17g", v);
     if (!first) out += ", ";
     first = false;
-    out += std::string("\"") + m.name + "\": {\"value\": " + value +
-           ", \"unit\": \"" + m.unit + "\"}";
-  };
-  if (trace) {
-    for (const MetricSpec& m : kPerLayer) emit(m);
-  } else {
-    for (const MetricSpec& m : kEndToEnd) emit(m);
+    out += "\"" + name + "\": " + value;
   }
   out += "}}";
   std::fflush(stderr);
@@ -243,7 +138,7 @@ int main(int argc, char** argv) {
     } else {
       usage(argv[0]);
     }
-    run.print(options.trace);
+    run.print();
   } catch (const std::exception& e) {
     std::fprintf(stderr, "perfbench: %s\n", e.what());
     return 1;

@@ -6,9 +6,11 @@
 // execute_plan on a screened fleet, then retrieval of the result objects.
 //   HTML_18mil, 18M files, grep, deadline 7200 s, reshaped input (2 instances)
 //   Text_400K, 400k files, pos, deadline 1800 s, original files (~85)
-// The corpus is generated in set-up.  The HTML workload also runs, once per
-// round, the known-fault comparison of `reshape_cli --dynamic` against the
-// static run (README.md, "Known fault").
+// The corpus is generated in set-up.  Each workload also runs, once per
+// round, an operation that fails because of a known fault (README.md,
+// "Known faults"): the HTML one compares `reshape_cli --dynamic` with the
+// static run; the Text_400K one checks that the plan's predicted makespan
+// is within its deadline.
 #include <spawn.h>
 #include <sys/wait.h>
 #include <unistd.h>
@@ -52,12 +54,23 @@ struct ChainSpec {
   bool grep;  // grep over reshaped blocks; otherwise pos over the originals
   Seconds deadline;
   double output_ratio;  // result volume per input byte (retrieval)
+  // Set-up repetitions before the first round.  Set-up is timed once more
+  // after every round, so that its median samples the whole run rather
+  // than one moment of the host.
+  int setups;
+  // The check that the plan's predicted makespan is within its deadline
+  // is this workload's known-fault operation rather than an output check.
+  bool overshoot_fault;
 };
 
 const ChainSpec kHtml{"html18m", corpus::html_18mil_sizes, 18'000'000, true,
-                      Seconds(7200.0), 0.01};
+                      Seconds(7200.0), 0.01, 3, false};
 const ChainSpec kText{"text400k", corpus::text_400k_sizes, 400'000, false,
-                      Seconds(1800.0), 1.1};
+                      Seconds(1800.0), 1.1, 1, true};
+
+/// The seed of the Text_400K known-fault operation's fixed inputs: its plan
+/// overshoots the deadline (README.md, "Known faults").
+constexpr std::uint64_t kOvershootSeed = 1;
 
 enum Stage { kMerge, kScreen, kFit, kPlan, kExecute, kRetrieve, kStages };
 
@@ -91,7 +104,7 @@ struct ChainResult {
   std::size_t missed = 0;
   double cost = 0.0;
   double makespan_ratio = 0.0;
-  double plan_deadline_ratio = 0.0;
+  bool plan_over_deadline = false;
   std::uint64_t launches = 0;
   std::size_t failures = 0;
   std::string failure;  // first failed output check
@@ -170,22 +183,32 @@ double hourly_bill(const cloud::CloudProvider& provider, Seconds now) {
 
 // ------------------------------------------------------------------ chain
 
-ChainResult run_chain(const corpus::Corpus& data, const ChainSpec& spec,
-                      const Rng& root, bool traced) {
-  ChainResult r;
-  Laps laps(traced);
+corpus::Corpus generate(const ChainSpec& spec, const Rng& root) {
+  Rng rng = root.split(spec.name);
+  return corpus::Corpus::generate(spec.sizes(), spec.files, rng, 0.15, 1000);
+}
 
-  const pack::MergedCorpus merged = pack::merge_to_unit(data, kUnit);
-  laps.lap(kMerge);
+cloud::AppCostProfile app_of(const ChainSpec& spec) {
+  return spec.grep ? cloud::grep_profile() : cloud::pos_profile();
+}
 
-  const cloud::AppCostProfile app =
-      spec.grep ? cloud::grep_profile() : cloud::pos_profile();
+/// Probe volumes and their mean run times, from one screened instance.
+struct Probes {
+  std::vector<double> xs, ys;
+  std::uint64_t launches = 0;
+  std::size_t failures = 0;
+};
+
+/// acquire_screened plus five probe volumes of five run_time reps.
+Probes screen_and_probe(const corpus::Corpus& data, const ChainSpec& spec,
+                        const Rng& root) {
+  const cloud::AppCostProfile app = app_of(spec);
   sim::Simulation sim;
   cloud::CloudProvider ec2(sim, root.split("cloud"), cloud::ProviderConfig{});
   const auto acq = ec2.acquire_screened(
       cloud::InstanceType::kSmall, cloud::AvailabilityZone{cloud::Region::kUsEast, 0});
   Rng noise = root.split("noise");
-  std::vector<double> xs, ys;
+  Probes p;
   const Bytes probe_base =
       std::min(data.total_volume() / 10, Bytes(500'000'000));
   for (int k = 1; k <= 5; ++k) {
@@ -202,20 +225,44 @@ ChainResult run_chain(const corpus::Corpus& data, const ChainSpec& spec,
                                cloud::LocalStorage{}, noise)
                    .value());
     }
-    xs.push_back(head.total_volume().as_double());
-    ys.push_back(reps.mean());
+    p.xs.push_back(head.total_volume().as_double());
+    p.ys.push_back(reps.mean());
   }
+  p.launches = ec2.launches();
+  p.failures = ec2.failure_count();
+  return p;
+}
+
+provision::PlanOptions plan_options(const ChainSpec& spec,
+                                    const model::Predictor& predictor,
+                                    const Probes& probes) {
+  provision::PlanOptions options;
+  options.deadline = spec.deadline;
+  options.strategy = provision::PackingStrategy::kUniform;
+  options.residuals =
+      model::relative_residuals(predictor, probes.xs, probes.ys);
+  return options;
+}
+
+ChainResult run_chain(const corpus::Corpus& data, const ChainSpec& spec,
+                      const Rng& root, bool traced) {
+  ChainResult r;
+  Laps laps(traced);
+
+  const pack::MergedCorpus merged = pack::merge_to_unit(data, kUnit);
+  laps.lap(kMerge);
+
+  const Probes probes = screen_and_probe(data, spec, root);
   laps.lap(kScreen);
 
-  const model::Predictor predictor = model::Predictor::fit(xs, ys);
-  provision::PlanOptions plan_options;
-  plan_options.deadline = spec.deadline;
-  plan_options.strategy = provision::PackingStrategy::kUniform;
-  plan_options.residuals = model::relative_residuals(predictor, xs, ys);
+  const model::Predictor predictor =
+      model::Predictor::fit(probes.xs, probes.ys);
+  const provision::PlanOptions options =
+      plan_options(spec, predictor, probes);
   laps.lap(kFit);
 
   const provision::ExecutionPlan plan =
-      provision::StaticPlanner(predictor).plan(data, plan_options);
+      provision::StaticPlanner(predictor).plan(data, options);
   laps.lap(kPlan);
 
   sim::Simulation exec_sim;
@@ -226,7 +273,7 @@ ChainResult run_chain(const corpus::Corpus& data, const ChainSpec& spec,
   provision::ExecutionOptions exec;
   exec.reshaped_unit = spec.grep ? kUnit : Bytes(0);
   const provision::ExecutionReport report =
-      provision::execute_plan(fleet, plan, app, exec, run_noise);
+      provision::execute_plan(fleet, plan, app_of(spec), exec, run_noise);
   laps.lap(kExecute);
 
   const provision::OutputSegmentation output =
@@ -249,10 +296,9 @@ ChainResult run_chain(const corpus::Corpus& data, const ChainSpec& spec,
   r.cost = report.cost.amount();
   r.makespan_ratio =
       report.makespan.value() / plan.predicted_makespan.value();
-  r.plan_deadline_ratio =
-      plan.predicted_makespan.value() / plan.deadline.value();
-  r.launches = ec2.launches() + fleet.launches();
-  r.failures = ec2.failure_count() + fleet.failure_count();
+  r.plan_over_deadline = plan.predicted_makespan > plan.deadline;
+  r.launches = probes.launches + fleet.launches();
+  r.failures = probes.failures + fleet.failure_count();
 
   Checks c;
   const std::string merge_failure = check_merge(data, merged);
@@ -260,10 +306,8 @@ ChainResult run_chain(const corpus::Corpus& data, const ChainSpec& spec,
   const double bill = hourly_bill(fleet, exec_sim.now());
   c.expect(std::fabs(report.cost.amount() - bill) <= 1e-9 * std::max(1.0, bill),
            "reported cost = billed hours rounded up x hourly price");
-  // The plan's own predicted makespan is not checked against its
-  // deadline: on some seeds the uniform packing overshoots it (CHANGES.md,
-  // FOUND), and an operation that fails only on some seeds is reported as
-  // a figure instead (provision.plan_deadline_ratio).
+  c.expect(spec.overshoot_fault || !r.plan_over_deadline,
+           "the plan's predicted makespan is within its deadline");
   c.expect(report.instance_count() == plan.instance_count(),
            "one outcome per planned instance");
   c.expect(retrieval.value() > 0.0, "retrieval takes time");
@@ -359,16 +403,30 @@ void run_pipeline(const Options& options, Run& run, bool html) {
   const ChainSpec& spec = html ? kHtml : kText;
   const Rng root(options.seed);
 
-  // Set-up: generate the corpus, several times; the last one is kept.
+  // Set-up: generate the corpus (regenerating it gives the same corpus).
   corpus::Corpus data;
-  const int setups = html ? 3 : 45;
-  const double setup_s = median_setup(setups, [&] {
+  Samples setups;
+  auto set_up = [&] {
     data = corpus::Corpus();
-    Rng rng = root.split(spec.name);
-    data = corpus::Corpus::generate(spec.sizes(), spec.files, rng, 0.15, 1000);
-  });
+    data = generate(spec, root);
+  };
+  for (int i = 0; i < spec.setups; ++i) setups.add(timed(set_up));
   std::fprintf(stderr, "[%s] set-up %.3f s: %zu files, %s\n", spec.name,
-               setup_s, data.file_count(), data.total_volume().str().c_str());
+               setups.median(), data.file_count(),
+               data.total_volume().str().c_str());
+
+  // The known-fault operation's fixed inputs (not timed as set-up).
+  corpus::Corpus fault_data;
+  std::optional<model::Predictor> fault_predictor;
+  provision::PlanOptions fault_options;
+  if (spec.overshoot_fault) {
+    const Rng fixed(kOvershootSeed);
+    fault_data = generate(spec, fixed);
+    const Probes probes = screen_and_probe(fault_data, spec,
+                                           fixed.split("chain"));
+    fault_predictor = model::Predictor::fit(probes.xs, probes.ys);
+    fault_options = plan_options(spec, *fault_predictor, probes);
+  }
 
   Samples untraced, traced;
   Samples stages[kStages], residue;
@@ -387,14 +445,24 @@ void run_pipeline(const Options& options, Run& run, bool html) {
       residue.add((r.wall_s - sum) * 1e3);
     }
     run.op(r.failure);
-    last = std::move(r);
     if (html) {
       run.known_failure(dynamic_meets_fewer_deadlines(),
                         "reshape_cli --dynamic meets fewer deadlines than the "
                         "static run (rescheduler drops the reshaped unit)");
+    } else {
+      // Fails while the fixed inputs' plan, or this seed's, overshoots.
+      const provision::ExecutionPlan plan =
+          provision::StaticPlanner(*fault_predictor)
+              .plan(fault_data, fault_options);
+      run.known_failure(
+          plan.predicted_makespan > plan.deadline || r.plan_over_deadline,
+          "the uniform plan's predicted makespan exceeds its deadline");
     }
+    last = std::move(r);
+    setups.add(timed(set_up));
   });
 
+  const double setup_s = setups.median();
   run.metric("setup_s", setup_s);
   run.metric("peak_rss_mb", peak_rss_mb());
   run.metric("op_p50_ms", untraced.median() * 1e3);
@@ -425,7 +493,6 @@ void run_pipeline(const Options& options, Run& run, bool html) {
   run.metric("model.fit_s", stages[kFit].median());
   run.metric("model.makespan_ratio", last.makespan_ratio);
   run.metric("provision.plan_s", stages[kPlan].median());
-  run.metric("provision.plan_deadline_ratio", last.plan_deadline_ratio);
   run.metric("provision.instances", static_cast<double>(last.instances));
   run.metric("provision.execute_s", stages[kExecute].median());
   run.metric("provision.retrieve_s", stages[kRetrieve].median());

@@ -155,8 +155,9 @@ void client(serve::PlanServer& server, const std::vector<Key>& keys,
 
 void run_plan_serve(const Options& options, Run& run) {
   const Rng root(options.seed);
+  // Set-up: the tenants' corpora, timed once more after every round.
   std::vector<Key> keys;
-  const double corpus_setup_s = median_setup(9, [&] {
+  auto set_up = [&] {
     keys.clear();
     for (std::size_t t = 0; t < kTenants; ++t) {
       for (std::size_t s = 0; s < kShapes; ++s) {
@@ -174,7 +175,9 @@ void run_plan_serve(const Options& options, Run& run) {
                            model::Predictor(fit)});
       }
     }
-  });
+  };
+  Samples corpus_setup_s;
+  corpus_setup_s.add(timed(set_up));
 
   Samples bringup_s, untraced_p50, traced_p50;
   Samples all_us, hit_us, miss_us, ingest_us;
@@ -270,11 +273,12 @@ void run_plan_serve(const Options& options, Run& run) {
                           : "");
       }
     }
+    corpus_setup_s.add(timed(set_up));
   });
 
-  // Set-up: the tenants' corpora once, then each round's server start,
-  // model seeding and banked history.
-  const double setup_s = corpus_setup_s + bringup_s.median();
+  // Set-up: the tenants' corpora, then each round's server start, model
+  // seeding and banked history.
+  const double setup_s = corpus_setup_s.median() + bringup_s.median();
   run.metric("setup_s", setup_s);
   run.metric("peak_rss_mb", peak_rss_mb());
   run.metric("op_p50_ms", all_us.median() / 1e3);
