@@ -10,7 +10,7 @@
 #include "bench_util.hpp"
 #include "corpus/corpus.hpp"
 #include "corpus/distribution.hpp"
-#include "provision/dynamic.hpp"
+#include "provision/executor.hpp"
 #include "provision/planner.hpp"
 
 using namespace reshape;
@@ -54,32 +54,18 @@ int main() {
     config.mixture.p_fast = 1.0 - p_slow;
     config.mixture.p_slow = p_slow;
 
-    // Static.
-    {
+    // The same EBS-staged run without and with the checkpoint monitor.
+    for (const bool dynamic : {false, true}) {
       sim::Simulation sim;
       cloud::CloudProvider fleet(sim, Rng(991), config);
       Rng noise(17);
-      provision::ExecutionOptions exec;  // EBS-staged
+      provision::ExecutionOptions exec;
+      if (dynamic) exec.checkpoint = Seconds(240.0);
       const provision::ExecutionReport report = provision::execute_plan(
           fleet, plan, cloud::pos_profile(), exec, noise);
-      t.add(fmt(100.0 * p_slow, 0) + "%", "static", report.makespan,
-            report.missed, fmt(report.instance_hours, 0), report.cost, "-");
-    }
-    // Dynamic.
-    {
-      sim::Simulation sim;
-      cloud::CloudProvider fleet(sim, Rng(991), config);
-      Rng noise(17);
-      provision::ReschedulingOptions options;
-      options.checkpoint = Seconds(240.0);
-      const provision::DynamicReport report =
-          provision::execute_with_rescheduling(fleet, plan,
-                                               cloud::pos_profile(), options,
-                                               noise);
-      t.add(fmt(100.0 * p_slow, 0) + "%", "dynamic",
-            report.execution.makespan, report.execution.missed,
-            fmt(report.execution.instance_hours, 0), report.execution.cost,
-            report.replacements.size());
+      t.add(fmt(100.0 * p_slow, 0) + "%", dynamic ? "dynamic" : "static",
+            report.makespan, report.missed, fmt(report.instance_hours, 0),
+            report.cost, dynamic ? std::to_string(report.replacements) : "-");
     }
   }
   std::printf("%s\n", t.str().c_str());

@@ -9,6 +9,9 @@
 // model, plans the deadline and executes on a simulated fleet — printing
 // each stage.  Every run is reproducible from its --seed.
 
+#include <cctype>
+#include <cerrno>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
@@ -22,7 +25,6 @@
 #include "corpus/corpus.hpp"
 #include "corpus/distribution.hpp"
 #include "model/predictor.hpp"
-#include "provision/dynamic.hpp"
 #include "provision/executor.hpp"
 #include "provision/planner.hpp"
 #include "reshape/merge.hpp"
@@ -61,14 +63,29 @@ CliOptions parse(int argc, char** argv) {
       if (i + 1 >= argc) usage(argv[0]);
       return argv[++i];
     };
+    // A numeric flag's value must be a number up to its last character.
+    auto count = [&]() -> std::uint64_t {
+      const std::string text = value();
+      char* end = nullptr;
+      errno = 0;
+      const std::uint64_t n = std::strtoull(text.c_str(), &end, 10);
+      if (!std::isdigit(static_cast<unsigned char>(text[0])) ||
+          *end != '\0' || errno == ERANGE) {
+        usage(argv[0]);
+      }
+      return n;
+    };
     if (arg == "--corpus") {
       options.corpus = value();
     } else if (arg == "--files") {
-      options.files = std::strtoull(value().c_str(), nullptr, 10);
+      options.files = count();
     } else if (arg == "--unit") {
-      options.unit = Bytes(std::strtoull(value().c_str(), nullptr, 10));
+      options.unit = Bytes(count());
     } else if (arg == "--deadline") {
-      options.deadline = Seconds(std::strtod(value().c_str(), nullptr));
+      const std::string text = value();
+      char* end = nullptr;
+      options.deadline = Seconds(std::strtod(text.c_str(), &end));
+      if (text.empty() || *end != '\0') usage(argv[0]);
     } else if (arg == "--strategy") {
       const std::string s = value();
       if (s == "firstfit") {
@@ -83,7 +100,7 @@ CliOptions parse(int argc, char** argv) {
     } else if (arg == "--app") {
       options.app = value();
     } else if (arg == "--seed") {
-      options.seed = std::strtoull(value().c_str(), nullptr, 10);
+      options.seed = count();
     } else if (arg == "--dynamic") {
       options.dynamic = true;
     } else {
@@ -93,6 +110,7 @@ CliOptions parse(int argc, char** argv) {
   if (options.corpus != "html" && options.corpus != "text") usage(argv[0]);
   if (options.app != "grep" && options.app != "pos") usage(argv[0]);
   if (options.files == 0 || options.unit.count() == 0 ||
+      !std::isfinite(options.deadline.value()) ||
       options.deadline.value() <= 0.0) {
     usage(argv[0]);
   }
@@ -181,20 +199,13 @@ int main(int argc, char** argv) {
   fleet_config.mixture = cloud::screened_fleet_mixture();
   cloud::CloudProvider fleet(exec_sim, root.split("fleet"), fleet_config);
   Rng run_noise = root.split("runs");
-  provision::ExecutionReport report;
+  provision::ExecutionOptions exec;
+  exec.reshaped_unit = cli.app == "grep" ? cli.unit : Bytes(0);
+  if (cli.dynamic) exec.checkpoint = cli.deadline / 6.0;
+  const provision::ExecutionReport report =
+      provision::execute_plan(fleet, plan, app, exec, run_noise);
   if (cli.dynamic) {
-    provision::ReschedulingOptions dyn;
-    dyn.checkpoint = cli.deadline / 6.0;
-    const provision::DynamicReport dyn_report =
-        provision::execute_with_rescheduling(fleet, plan, app, dyn,
-                                             run_noise);
-    report = dyn_report.execution;
-    std::printf("[dynamic] %zu replacement(s)\n",
-                dyn_report.replacements.size());
-  } else {
-    provision::ExecutionOptions exec;
-    exec.reshaped_unit = cli.app == "grep" ? cli.unit : Bytes(0);
-    report = provision::execute_plan(fleet, plan, app, exec, run_noise);
+    std::printf("[dynamic] %zu replacement(s)\n", report.replacements);
   }
   std::printf("[run] makespan %s, missed %zu/%zu, %.0f instance-hours, %s\n",
               report.makespan.str().c_str(), report.missed,

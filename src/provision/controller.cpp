@@ -41,6 +41,16 @@ namespace {
 
 constexpr std::size_t kNoUnit = std::numeric_limits<std::size_t>::max();
 
+/// Fleet ceiling (live members), counting the initial fleet.
+constexpr std::size_t kMaxFleet = 64;
+/// This many member failures in one zone within one epoch marks the zone
+/// suspect (an AZ-outage fault does so immediately).
+constexpr std::size_t kAzEpisodeThreshold = 2;
+/// kOvershootCost stops acquiring at this multiple of predicted cost.
+constexpr double kOvershootCostCap = 2.0;
+/// Observations before the banked refit replaces the prior predictor.
+constexpr std::size_t kPredictorMinObservations = 3;
+
 /// One work unit (a plan assignment).  Its bytes live on a persistent EBS
 /// volume in `volume_zone`; a cross-AZ move re-stages the remainder onto
 /// a fresh volume in the new zone.
@@ -214,10 +224,10 @@ class ElasticController {
   /// Whether one more launch fits the acquisition budget.  Under
   /// kOvershootCost the hard budget is replaced by the cost cap.
   [[nodiscard]] bool can_acquire() {
-    if (live_members() >= options_.max_fleet) return false;
+    if (live_members() >= kMaxFleet) return false;
     if (options_.degrade == DegradePolicy::kOvershootCost) {
       const double cap =
-          plan_.predicted_cost.amount() * options_.overshoot_cost_cap;
+          plan_.predicted_cost.amount() * kOvershootCostCap;
       if (plan_.predicted_cost.amount() > 0.0 &&
           provider_.billing().total_cost(provider_.sim().now()).amount() >=
               cap) {
@@ -733,12 +743,11 @@ class ElasticController {
     }
     for (auto& [z, count] : zone_failures_) {
       if (z == zone) {
-        if (++count >= options_.az_episode_threshold) mark_suspect(zone);
+        if (++count >= kAzEpisodeThreshold) mark_suspect(zone);
         return;
       }
     }
     zone_failures_.emplace_back(zone, 1);
-    if (options_.az_episode_threshold <= 1) mark_suspect(zone);
   }
 
   // -- the epoch loop -------------------------------------------------------
@@ -878,8 +887,8 @@ class ElasticController {
 
     // (b) Refresh the cost model from the campaign's own evidence.
     model::Predictor predictor =
-        bank_.fitted(prior_predictor_, options_.predictor_min_observations);
-    decision.refit = bank_.count() >= options_.predictor_min_observations;
+        bank_.fitted(prior_predictor_, kPredictorMinObservations);
+    decision.refit = bank_.count() >= kPredictorMinObservations;
 
     const Bytes backlog = pending_bytes();
     decision.bytes_remaining = backlog;
@@ -904,21 +913,19 @@ class ElasticController {
     const Bytes fresh_capacity = slack.value() > 0.0
                                      ? predictor.max_volume_within(slack)
                                      : Bytes(0);
-    if (options_.replan) {
-      ++replans_;
-      m_replans_.add(1);
-      decision.replanned = true;
-      if (backlog.count() > 0) {
-        Bytes serveable = fleet_serveable(predictor, fresh_capacity);
-        while (backlog.count() > serveable.count() &&
-               fresh_capacity.count() > 0 && can_acquire()) {
-          launch_member(kNoUnit, pick_zone(), /*speculative=*/false,
-                        /*charge_budget=*/true);
-          serveable += fresh_capacity;
-          ++decision.acquired;
-        }
-        infeasible = backlog.count() > serveable.count();
+    ++replans_;
+    m_replans_.add(1);
+    decision.replanned = true;
+    if (backlog.count() > 0) {
+      Bytes serveable = fleet_serveable(predictor, fresh_capacity);
+      while (backlog.count() > serveable.count() &&
+             fresh_capacity.count() > 0 && can_acquire()) {
+        launch_member(kNoUnit, pick_zone(), /*speculative=*/false,
+                      /*charge_budget=*/true);
+        serveable += fresh_capacity;
+        ++decision.acquired;
       }
+      infeasible = backlog.count() > serveable.count();
     }
 
     // (c) Degrade when the deadline is out of reach at full budget.

@@ -1,11 +1,11 @@
 // The elastic campaign controller: epoch re-planning, straggler defense,
 // and deadline-aware graceful degradation under fault storms.
 //
-// The static executor commits a fleet once and rides it to the end; the
-// dynamic rescheduler inspects each instance once at a fixed checkpoint.
-// Both leave the paper's §3.1/§7 monitoring loop unfinished: nothing
-// re-plans when the world drifts away from the model.  This controller
-// closes that loop.  A campaign runs as a sequence of *epochs* on the
+// The static executor commits a fleet once and rides it to the end, at
+// most inspecting each instance once at a fixed checkpoint (the §3.1
+// rescheduling policy).  That leaves the paper's §3.1/§7 monitoring loop
+// unfinished: nothing re-plans when the world drifts away from the model.
+// This controller closes that loop.  A campaign runs as a sequence of *epochs* on the
 // shared event engine; at every epoch boundary the controller
 //
 //   (a) ingests one progress report per fleet slot and flags stragglers
@@ -56,7 +56,7 @@ enum class DegradePolicy {
   /// dropping work: everything completes, later and coarser.
   kWidenMergeUnits,
   /// Keep acquiring past the budget until the projected spend reaches
-  /// `overshoot_cost_cap` times the plan's predicted cost.
+  /// twice the plan's predicted cost.
   kOvershootCost,
 };
 
@@ -70,27 +70,15 @@ struct ElasticOptions {
   StragglerOptions straggler{};
   /// Hedge flagged slots with a speculative duplicate attempt.
   bool hedge_stragglers = true;
-  /// Re-run the capacity calculation each epoch.  Off, the controller
-  /// only replaces failures — the behaviour of the static fleet.
-  bool replan = true;
   /// Launches allowed beyond the initial fleet (replacements, hedges and
   /// growth all draw from this one budget).
   int acquisition_budget = 16;
-  /// Fleet ceiling (live members), counting the initial fleet.
-  std::size_t max_fleet = 64;
   /// Backoff schedule for boot-failure retries.
   RetryPolicy acquisition_retry = RetryPolicy::for_acquisition();
-  /// This many member failures in one zone within one epoch marks the
-  /// zone suspect (an AZ-outage fault does so immediately).
-  std::size_t az_episode_threshold = 2;
   /// Zones to route new capacity to when a zone is suspect; empty means
   /// the other indexes of the primary zone's region.
   std::vector<cloud::AvailabilityZone> fallback_zones{};
   DegradePolicy degrade = DegradePolicy::kShedLowestValue;
-  /// kOvershootCost stops acquiring at this multiple of predicted cost.
-  double overshoot_cost_cap = 2.0;
-  /// Observations before the banked refit replaces the prior predictor.
-  std::size_t predictor_min_observations = 3;
   /// The planning prior — normally the StaticPlanner's fitted predictor.
   /// Stands until the throughput bank has enough evidence to refit.  The
   /// default is the executor's nominal 20 MB/s fallback rate.

@@ -30,6 +30,19 @@ double ExecutionReport::worst_overrun() const {
 
 namespace {
 
+/// Transfers verify block digests, turning silent corruption into a
+/// detected, retried error.
+constexpr bool kVerifyTransfers = true;
+/// Screening attempts per replacement launch (§4 acquisition).
+constexpr int kRelaunchScreenAttempts = 5;
+
+/// The checkpoint policy (§3.1): act only when the projected bar exceeds
+/// the deadline by this factor (hysteresis against jitter), try at most
+/// this many candidates, and switch only on a projected win of >= 10%.
+constexpr double kOverrunTrigger = 1.05;
+constexpr int kMaxCandidates = 2;
+constexpr double kSwitchMargin = 0.90;
+
 /// Mutable recovery state of one assignment.  Its data lives on one
 /// persistent EBS volume (EBS mode), so an instance failure loses at most
 /// the in-flight pass over the remaining extent, never the data.
@@ -64,6 +77,7 @@ struct Slot {
   cloud::QualityClass quality = cloud::QualityClass::kFast;
   std::size_t failures = 0;
   std::size_t relaunches = 0;
+  int candidates_tried = 0;  // checkpoint replacement candidates launched
   bool done = false;
   bool abandoned = false;
   std::string error;
@@ -85,6 +99,28 @@ struct Station {
   std::deque<Slot*> backlog;
   Seconds avail_at{0.0};  // predicted drain time of active + backlog
 };
+
+/// Linear progress of the slot's in-flight attempt at `now` (staging
+/// happens first, then execution proceeds linearly).
+double attempt_progress(const Slot& slot, Seconds now) {
+  if (slot.cur_exec.value() <= 0.0) return 1.0;
+  return std::clamp(
+      (now - slot.work_begun - slot.cur_staging).value() / slot.cur_exec.value(),
+      0.0, 1.0);
+}
+
+/// Bytes of the in-flight attempt processed at `progress`.
+Bytes processed_at(const Slot& slot, double progress) {
+  return std::min(Bytes(static_cast<std::uint64_t>(
+                      progress * slot.attempt_bytes.as_double())),
+                  slot.remaining);
+}
+
+/// The slot's bar if the in-flight attempt runs to completion.
+Seconds projected_bar(const Slot& slot) {
+  return slot.work_total + slot.recovery_total + slot.cur_staging +
+         slot.cur_exec + slot.cur_retrieval;
+}
 
 }  // namespace
 
@@ -198,6 +234,8 @@ class ExecutionDriver {
     }
   }
 
+  /// Launches a slot's initial instance.  Only these arm the checkpoint
+  /// monitor; replacements already are the recovery path.
   void launch_for(Slot* slot) {
     const cloud::InstanceId id = provider_.launch(
         options_.instance_type, options_.zone,
@@ -205,6 +243,11 @@ class ExecutionDriver {
           const auto it = stations_.find(instance.id());
           if (it == stations_.end()) return;
           begin_work(*it->second, *slot);
+          if (options_.checkpoint.value() > 0.0) {
+            provider_.sim().schedule_in(
+                options_.checkpoint,
+                [this, slot](sim::Simulation&) { on_checkpoint(*slot); });
+          }
         });
     auto station = std::make_unique<Station>();
     station->id = id;
@@ -281,7 +324,7 @@ class ExecutionDriver {
           std::to_string(slot.failures + slot.relaunches);
       const cloud::TransferOutcome out = cloud::transfer_with_retries(
           provider_.fault_injector(), key, options_.transfer_retry,
-          options_.verify_transfers, channel, slot.run_noise);
+          kVerifyTransfers, channel, slot.run_noise);
       slot.transfer_attempts += out.attempts;
       slot.transfer_retries += out.attempts - 1;
       slot.transfer_retry_time += out.retry_overhead();
@@ -443,30 +486,10 @@ class ExecutionDriver {
       }
       recover(waiting);
     } else if (Slot* slot = station->active) {
-      // Mid-run crash: the linear-progress prefix of this attempt is kept
-      // (its extent on the persistent volume is never re-read).
+      // Mid-run crash: the processed prefix survives, the rest recovers.
       ++slot->failures;
-      provider_.sim().cancel(slot->completion);
       const Seconds elapsed = now - slot->work_begun;
-      slot->work_total += elapsed;
-      slot->staging_total += std::min(elapsed, slot->cur_staging);
-      // Attribute only the exec window to exec time; time spent in the
-      // retrieval phase is lost outright (results are re-downloaded on
-      // recovery, so no retrieval progress survives a crash).
-      slot->exec_total += std::min(
-          std::max(Seconds(0.0), elapsed - slot->cur_staging),
-          slot->cur_exec);
-      double progress = 1.0;
-      if (slot->cur_exec.value() > 0.0) {
-        progress = std::clamp(
-            (elapsed - slot->cur_staging).value() / slot->cur_exec.value(),
-            0.0, 1.0);
-      }
-      Bytes processed(static_cast<std::uint64_t>(
-          progress * slot->attempt_bytes.as_double()));
-      processed = std::min(processed, slot->remaining);
-      slot->remaining -= processed;
-      slot->data_offset += processed;
+      const double progress = settle_attempt(*slot, now);
       slot->failed_at = now;
       if (obs::enabled()) {
         obs::trace().complete(obs::kPidExecutor, trace_tid(*slot), "executor",
@@ -487,6 +510,27 @@ class ExecutionDriver {
     // back through recovery untouched (their failed_at keeps accruing
     // recovery time from their original failure).
     for (Slot* queued : station->backlog) recover(queued);
+  }
+
+  /// Ends the slot's in-flight attempt at `now` (a crash or a checkpoint
+  /// switch): books its elapsed time and keeps the linear-progress prefix,
+  /// whose extent on the persistent volume is never re-read.  Returns the
+  /// attempt's progress.
+  double settle_attempt(Slot& slot, Seconds now) {
+    provider_.sim().cancel(slot.completion);
+    const Seconds elapsed = now - slot.work_begun;
+    slot.work_total += elapsed;
+    slot.staging_total += std::min(elapsed, slot.cur_staging);
+    // Attribute only the exec window to exec time; time spent in the
+    // retrieval phase is lost outright (results are re-downloaded, so no
+    // retrieval progress survives).
+    slot.exec_total += std::min(
+        std::max(Seconds(0.0), elapsed - slot.cur_staging), slot.cur_exec);
+    const double progress = attempt_progress(slot, now);
+    const Bytes processed = processed_at(slot, progress);
+    slot.remaining -= processed;
+    slot.data_offset += processed;
+    return progress;
   }
 
   void recover(Slot* slot) {
@@ -554,7 +598,7 @@ class ExecutionDriver {
       // fleet events (including further failures) interleave naturally.
       const auto acq = provider_.acquire_screened(
           options_.instance_type, options_.zone, options_.relaunch_threshold,
-          options_.relaunch_screen_attempts);
+          kRelaunchScreenAttempts);
       ++slot->relaunches;
       m_relaunches_.add(1);
       auto station = std::make_unique<Station>();
@@ -573,6 +617,91 @@ class ExecutionDriver {
     host.backlog.push_back(slot);
     host.avail_at += estimate_work(*slot);
     m_redistributions_.add(1);
+  }
+
+  // -- the checkpoint policy (§3.1, §7) ------------------------------------
+
+  /// The station running `slot` on `id` right now, if any (none once the
+  /// slot finished, was abandoned, or is recovering from a crash).
+  [[nodiscard]] Station* running(const Slot& slot, cloud::InstanceId id) {
+    const auto it = stations_.find(id);
+    if (it == stations_.end() || it->second->active != &slot) return nullptr;
+    return it->second.get();
+  }
+
+  void on_checkpoint(Slot& slot) {
+    if (!running(slot, slot.current)) return;
+    const Seconds projected = projected_bar(slot);
+    if (projected.value() <= plan_.deadline.value() * kOverrunTrigger) return;
+    // Fast but overloaded: a new instance would not help.
+    if (slot.quality == cloud::QualityClass::kFast) return;
+    try_candidate(slot, projected);
+  }
+
+  /// Launches one replacement candidate for a lagging slot (§7's
+  /// "lightweight tests to establish the quality of the instances").
+  void try_candidate(Slot& slot, Seconds old_bar) {
+    if (slot.candidates_tried >= kMaxCandidates) return;
+    ++slot.candidates_tried;
+    provider_.launch(options_.instance_type, options_.zone,
+                     [this, &slot, replaced = slot.current,
+                      old_bar](cloud::Instance& candidate) {
+                       consider_switch(slot, replaced, old_bar, candidate);
+                     });
+  }
+
+  /// Switches the slot onto a booted candidate when it is projected to
+  /// finish meaningfully sooner; otherwise discards it and maybe retries.
+  void consider_switch(Slot& slot, cloud::InstanceId replaced,
+                       Seconds old_bar, cloud::Instance& candidate) {
+    Station* old = running(slot, replaced);
+    const Seconds now = provider_.sim().now();
+    const Bytes processed =
+        old ? processed_at(slot, attempt_progress(slot, now)) : Bytes(0);
+    if (old == nullptr || processed == slot.remaining) {
+      provider_.terminate(candidate.id());  // moot: finished or recovering
+      return;
+    }
+    cloud::EbsVolume& vol = provider_.volume(slot.volume);
+    const cloud::StorageBinding storage = cloud::EbsStorage{
+        &vol, slot.data_offset + processed, vol.degradation_factor(now)};
+    const Seconds est_exec = cloud::expected_run_time(
+        slot.app,
+        layout_for_remaining(slot.assignment, options_,
+                             slot.remaining - processed),
+        candidate, storage);
+    const Seconds est_bar = slot.work_total + slot.recovery_total +
+                            (now - slot.work_begun) +
+                            provider_.config().attach_mean + est_exec +
+                            slot.cur_retrieval;
+    if (est_bar.value() >= old_bar.value() * kSwitchMargin) {
+      provider_.terminate(candidate.id());
+      try_candidate(slot, old_bar);
+      return;
+    }
+
+    // Commit: roll the old attempt's progress into the slot, stop the old
+    // instance (freeing the volume) and re-attach to the candidate, which
+    // also inherits the old station's backlog.
+    (void)settle_attempt(slot, now);
+    auto station = std::make_unique<Station>();
+    station->id = candidate.id();
+    station->backlog = std::move(old->backlog);
+    stations_.erase(replaced);
+    provider_.terminate(replaced);
+    Station* raw = station.get();
+    stations_.emplace(candidate.id(), std::move(station));
+    m_replacements_.add(1);
+    begin_work(*raw, slot);
+    if (obs::enabled()) {
+      obs::trace().instant(
+          obs::kPidExecutor, trace_tid(slot), "dynamic", "reschedule",
+          now.value(),
+          {obs::arg("slot", slot.index), obs::arg("replaced", replaced.value),
+           obs::arg("replacement", candidate.id().value),
+           obs::arg("old_projection_s", old_bar.value()),
+           obs::arg("new_completion_s", projected_bar(slot).value())});
+    }
   }
 
   [[nodiscard]] ExecutionReport assemble() {
@@ -620,6 +749,7 @@ class ExecutionDriver {
         static_cast<std::size_t>(m_redistributions_.value());
     report.abandoned = static_cast<std::size_t>(m_abandoned_.value());
     report.recovery_time = Seconds(m_recovery_time_.value());
+    report.replacements = static_cast<std::size_t>(m_replacements_.value());
     report.transfer_retries =
         static_cast<std::size_t>(m_xfer_retries_.value());
     report.transfer_retry_time = Seconds(m_xfer_retry_time_.value());
@@ -649,6 +779,7 @@ class ExecutionDriver {
   obs::Counter& m_redistributions_ =
       metrics_.counter("executor.redistributions");
   obs::Counter& m_abandoned_ = metrics_.counter("executor.abandoned");
+  obs::Counter& m_replacements_ = metrics_.counter("dynamic.replacements");
   obs::Counter& m_xfer_retries_ =
       metrics_.counter("executor.transfer.retries");
   obs::Counter& m_corruptions_ =
@@ -667,6 +798,8 @@ ExecutionReport execute_plan(cloud::CloudProvider& provider,
                              const cloud::AppCostProfile& app,
                              const ExecutionOptions& options, Rng& noise) {
   RESHAPE_REQUIRE(!plan.assignments.empty(), "plan has no assignments");
+  RESHAPE_REQUIRE(options.checkpoint.value() <= 0.0 || options.data_on_ebs,
+                  "dynamic rescheduling relies on EBS re-attachment");
   ExecutionDriver driver(provider, plan, app, options, noise);
   return driver.run();
 }

@@ -16,6 +16,13 @@
 // bounded; an unrecoverable assignment degrades to a structured error
 // outcome instead of aborting the run.  With the default zero FaultModel
 // reports are bit-identical to the historic failure-free executor.
+//
+// Dynamic rescheduling (§3.1 and §7) is an opt-in policy of the same
+// executor: with a checkpoint set, each initial instance is inspected once
+// that long after it boots, and a slow instance projected to overrun the
+// deadline is replaced by re-attaching its EBS volume to a new instance
+// ("replacing poorly performing instances can be done easily without
+// explicit data transfers") when the switch calculus predicts a net gain.
 #pragma once
 
 #include <string>
@@ -46,7 +53,6 @@ struct ExecutionOptions {
   int max_relaunches = 3;
   /// Screening applied to replacement instances (§4 acquisition).
   Rate relaunch_threshold = Rate::megabytes_per_second(60.0);
-  int relaunch_screen_attempts = 5;
 
   /// Data-plane fault tolerance.  The retry policy governs staging and
   /// retrieval transfers when the provider's fault model injects transfer
@@ -57,9 +63,11 @@ struct ExecutionOptions {
   double output_ratio = 0.0;
   /// Hedge (duplicate) the retrieval transfers and keep the first winner.
   bool hedge_retrieval = false;
-  /// Verify block digests after each transfer, turning silent corruption
-  /// into a detected, retried error.
-  bool verify_transfers = true;
+
+  /// Dynamic rescheduling: when to inspect each initial instance, measured
+  /// from its boot; zero runs no monitor.  Requires `data_on_ebs` (the
+  /// zero-copy volume handoff is the point).
+  Seconds checkpoint{0.0};
 };
 
 struct InstanceOutcome {
@@ -104,6 +112,7 @@ struct ExecutionReport {
   std::size_t redistributions = 0;  // remainders chained onto survivors
   std::size_t abandoned = 0;        // assignments recovery could not save
   Seconds recovery_time{0.0};       // summed over outcomes
+  std::size_t replacements = 0;     // slow instances switched at a checkpoint
 
   /// Data-plane aggregates (all zero under the zero FaultModel).
   std::size_t transfer_retries = 0;

@@ -5,7 +5,6 @@
 #include <algorithm>
 
 #include "corpus/distribution.hpp"
-#include "provision/dynamic.hpp"
 
 namespace reshape::provision {
 namespace {
@@ -325,42 +324,6 @@ TEST(ElasticCampaign, OvershootPolicyAcquiresPastTheBudget) {
   for (const InstanceOutcome& o : report.execution.outcomes) {
     EXPECT_TRUE(o.completed);
   }
-}
-
-// --- wiring through the dynamic rescheduler --------------------------------
-
-TEST(DynamicElastic, EpochsOneRunsTheLegacyRescheduler) {
-  sim::Simulation sim;
-  cloud::CloudProvider provider(sim, Rng(5), fast_config());
-  const corpus::Corpus data = data_40mb();
-  const ExecutionPlan plan = slack_plan(data);
-  Rng noise(3);
-  ReschedulingOptions options;  // epochs = 1
-  const DynamicReport report = execute_with_rescheduling(
-      provider, plan, cloud::pos_profile(), options, noise);
-  EXPECT_FALSE(report.elastic);
-  EXPECT_TRUE(report.campaign.epochs.empty());
-  EXPECT_EQ(report.execution.instance_count(), plan.instance_count());
-}
-
-TEST(DynamicElastic, MultipleEpochsDelegateToTheController) {
-  sim::Simulation sim;
-  cloud::CloudProvider provider(sim, Rng(5), fast_config());
-  const corpus::Corpus data = data_40mb();
-  const ExecutionPlan plan = slack_plan(data);
-  Rng noise(3);
-  ReschedulingOptions options;
-  options.epochs = 6;  // epoch period = deadline / 6 = 600 s
-  const DynamicReport report = execute_with_rescheduling(
-      provider, plan, cloud::pos_profile(), options, noise);
-  EXPECT_TRUE(report.elastic);
-  EXPECT_TRUE(report.replacements.empty());
-  EXPECT_EQ(report.execution.instance_count(), plan.instance_count());
-  EXPECT_GE(report.campaign.replans, 1u);
-  // The executor-shaped view mirrors the campaign's.
-  EXPECT_DOUBLE_EQ(report.execution.makespan.value(),
-                   report.campaign.execution.makespan.value());
-  EXPECT_EQ(report.execution.missed, report.campaign.execution.missed);
 }
 
 }  // namespace
