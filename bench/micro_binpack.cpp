@@ -10,7 +10,10 @@
 //
 // Modes:
 //   micro_binpack           full sweep (the 1M naive baseline takes a
-//                           minute or two by design — that is the point)
+//                           minute or two by design — that is the point),
+//                           then one paper-scale merge_to_unit: an
+//                           HTML_18mil-shaped corpus of 18M files into
+//                           10 MB blocks, with the process's peak RSS
 //   micro_binpack --smoke   n=10k only; exits nonzero if the tree-based
 //                           first-fit is slower than the naive reference.
 //                           Wired up as the `bench-smoke` CTest target.
@@ -21,6 +24,8 @@
 //                           (ThreadPool parallel_for + per-shard packing)
 //                           exported as Chrome trace-event JSON
 //   --metrics out.json      binpack.* / pool.* counter-histogram snapshot
+
+#include <sys/resource.h>
 
 #include <chrono>
 #include <cstdio>
@@ -196,6 +201,31 @@ int main(int argc, char** argv) {
               "%zu-shard %.4f (delta %.4f)\n",
               seq.fill_factor(), kShards, par.fill_factor(), fill_delta);
 
+  // Paper scale (full sweep only): the pipeline's own merge at HTML_18mil
+  // size.  Peak RSS is the whole process's, so it bounds the merge's.
+  struct PaperScale {
+    std::size_t files = 0;
+    double seconds = 0.0;
+    std::size_t blocks = 0;
+    double peak_rss_mib = 0.0;
+  } paper;
+  if (!smoke) {
+    constexpr std::size_t kPaperFiles = 18'000'000;
+    Rng rng(18);
+    const corpus::Corpus html = corpus::Corpus::generate(
+        corpus::html_18mil_sizes(), kPaperFiles, rng);
+    paper.files = kPaperFiles;
+    paper.seconds = time_best_of(1, [&] {
+      paper.blocks = pack::merge_to_unit(html, 10_MB).block_count();
+    });
+    record("merge_to_unit_html18m", kPaperFiles, paper.seconds);
+    rusage usage{};
+    getrusage(RUSAGE_SELF, &usage);
+    paper.peak_rss_mib = static_cast<double>(usage.ru_maxrss) / 1024.0;
+    std::printf("-- paper scale: %zu blocks of <= 10 MB, peak RSS %.0f MiB\n",
+                paper.blocks, paper.peak_rss_mib);
+  }
+
   FILE* out = std::fopen("BENCH_binpack.json", "w");
   if (out != nullptr) {
     std::fprintf(out, "{\n  \"bench\": \"micro_binpack\",\n");
@@ -214,6 +244,18 @@ int main(int argc, char** argv) {
     if (speedup_at_100k > 0.0) {
       std::fprintf(out, "  \"first_fit_speedup_at_100k\": %.2f,\n",
                    speedup_at_100k);
+    }
+    if (paper.files > 0) {
+      std::fprintf(out,
+                   "  \"paper_scale\": {\"corpus\": \"HTML_18mil\", "
+                   "\"files\": %zu, \"unit_bytes\": %llu, "
+                   "\"seconds\": %.6f, \"items_per_sec\": %.1f, "
+                   "\"blocks\": %zu, \"peak_rss_mib\": %.1f},\n",
+                   paper.files,
+                   static_cast<unsigned long long>((10_MB).count()),
+                   paper.seconds,
+                   static_cast<double>(paper.files) / paper.seconds,
+                   paper.blocks, paper.peak_rss_mib);
     }
     std::fprintf(out,
                  "  \"parallel\": {\"shards\": %zu, "

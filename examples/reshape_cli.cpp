@@ -7,7 +7,9 @@
 //
 // Generates a corpus, reshapes it, probes a screened instance, fits the
 // model, plans the deadline and executes on a simulated fleet — printing
-// each stage.  Every run is reproducible from its --seed.
+// each stage.  Every run is reproducible from its --seed.  Exit code: 0
+// when every instance met the deadline, 1 when some missed, 2 for a
+// malformed flag or a request the library rejects (an infeasible deadline).
 
 #include <cctype>
 #include <cerrno>
@@ -20,6 +22,7 @@
 #include "cloud/app_profile.hpp"
 #include "cloud/provider.hpp"
 #include "cloud/workload.hpp"
+#include "common/error.hpp"
 #include "common/stats.hpp"
 #include "common/table.hpp"
 #include "corpus/corpus.hpp"
@@ -117,10 +120,8 @@ CliOptions parse(int argc, char** argv) {
   return options;
 }
 
-}  // namespace
-
-int main(int argc, char** argv) {
-  const CliOptions cli = parse(argc, argv);
+/// Runs the pipeline; returns 0 when every instance met the deadline.
+int run(const CliOptions& cli) {
   const Rng root(cli.seed);
 
   // Corpus.
@@ -212,4 +213,18 @@ int main(int argc, char** argv) {
               report.instance_count(), report.instance_hours,
               report.cost.str().c_str());
   return report.missed == 0 ? 0 : 1;
+}
+
+}  // namespace
+
+int main(int argc, char** argv) {
+  const CliOptions cli = parse(argc, argv);
+  try {
+    return run(cli);
+  } catch (const Error& e) {
+    // A well-formed request the library rejects (an infeasible deadline,
+    // say) exits with the usage code, not an abort.
+    std::fprintf(stderr, "%s: %s\n", argv[0], e.what());
+    return 2;
+  }
 }

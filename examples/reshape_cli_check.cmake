@@ -6,6 +6,8 @@
 #   -DEXPECT=same-run  the run with --dynamic appended must print the same
 #                      [run] line and exit with the same code as the run
 #                      without it
+#   -DEXPECT=golden    stdout followed by a line "[exit] <code>" must equal
+#                      the file -DGOLDEN=<path> byte for byte
 
 separate_arguments(args UNIX_COMMAND "${ARGS}")
 
@@ -31,6 +33,13 @@ elseif(EXPECT STREQUAL "same-run")
     message(FATAL_ERROR "reshape_cli ${ARGS}\n"
             "  static  (exit ${static_rc}): ${static_run}\n"
             "  dynamic (exit ${dynamic_rc}): ${dynamic_run}")
+  endif()
+elseif(EXPECT STREQUAL "golden")
+  run_cli(out rc)
+  file(READ "${GOLDEN}" want)
+  if(NOT "${out}[exit] ${rc}\n" STREQUAL "${want}")
+    message(FATAL_ERROR "reshape_cli ${ARGS} (exit ${rc}) differs from "
+            "${GOLDEN}:\n${out}")
   endif()
 else()
   message(FATAL_ERROR "unknown EXPECT '${EXPECT}'")

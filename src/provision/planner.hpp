@@ -73,6 +73,15 @@ struct PlanOptions {
                                  const corpus::Corpus& data,
                                  const PlanOptions& options);
 
+/// The packing step of plan(): places every file of `data` on
+/// `instances` instances by the strategy's rule (first-fit into
+/// `target`-sized bins with spill for kFirstFit, least-loaded otherwise)
+/// and returns the non-empty instances' assignments in instance order.
+[[nodiscard]] std::vector<Assignment> assign(const corpus::Corpus& data,
+                                             PackingStrategy strategy,
+                                             std::size_t instances,
+                                             Bytes target);
+
 class StaticPlanner {
  public:
   explicit StaticPlanner(model::Predictor predictor)

@@ -2,7 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
+#include <span>
+#include <vector>
 
 #include "common/error.hpp"
 #include "common/rng.hpp"
@@ -42,6 +45,66 @@ TEST(MergeToUnit, ReducesFileCountDramatically) {
   const corpus::Corpus c = sample_corpus();
   const MergedCorpus merged = merge_to_unit(c, 1_MB);
   EXPECT_LT(merged.block_count() * 100, c.file_count());
+}
+
+std::vector<Item> items_of(std::span<const corpus::VirtualFile> files) {
+  std::vector<Item> items;
+  for (const corpus::VirtualFile& f : files) items.push_back(Item{f.id, f.size});
+  return items;
+}
+
+void expect_same_blocks(const std::vector<Bin>& got,
+                        const std::vector<Bin>& want) {
+  ASSERT_EQ(got.size(), want.size());
+  for (std::size_t b = 0; b < got.size(); ++b) {
+    EXPECT_EQ(got[b].capacity, want[b].capacity) << "block " << b;
+    EXPECT_EQ(got[b].used, want[b].used) << "block " << b;
+    ASSERT_EQ(got[b].item_ids, want[b].item_ids) << "block " << b;
+  }
+}
+
+// merge_to_unit packs the corpus's files in place; it must give exactly
+// the blocks and digests of first_fit over the materialised items.  The
+// sampled corpus keeps its source ids, so ids are not positions, and the
+// 64 kB unit is below the largest files (oversize blocks).
+TEST(MergeToUnit, MatchesFirstFitOverMaterialisedItems) {
+  Rng rng(7);
+  const corpus::Corpus c =
+      sample_corpus(20'000, 3).sample_volume(Bytes(40'000'000), rng);
+  const std::vector<Item> items = items_of(c.files());
+  for (const Bytes unit : {64_kB, 1_MB, 10_MB}) {
+    for (const ItemOrder order :
+         {ItemOrder::kOriginal, ItemOrder::kDecreasing}) {
+      const MergedCorpus merged = merge_to_unit(c, unit, order);
+      const PackResult want = first_fit(items, unit, order);
+      expect_same_blocks(merged.blocks, want.bins);
+      ASSERT_EQ(merged.digests.size(), want.bins.size());
+      for (std::size_t b = 0; b < want.bins.size(); ++b) {
+        EXPECT_EQ(merged.digests[b], block_digest(want.bins[b]));
+      }
+    }
+  }
+}
+
+// Each shard packs its slice of the files in place: the blocks are
+// first_fit over each contiguous slice's items, concatenated.
+TEST(MergeToUnitParallel, ShardsMatchFirstFitOverTheirSlices) {
+  const corpus::Corpus c = sample_corpus(10'000, 5);
+  for (const ItemOrder order :
+       {ItemOrder::kOriginal, ItemOrder::kDecreasing}) {
+    const MergedCorpus merged = merge_to_unit_parallel(c, 1_MB, order, 3);
+    std::vector<Bin> want;
+    const std::size_t grain = (c.file_count() + 2) / 3;
+    for (std::size_t begin = 0; begin < c.file_count(); begin += grain) {
+      const std::size_t n = std::min(grain, c.file_count() - begin);
+      const std::vector<Item> items =
+          items_of(std::span(c.files()).subspan(begin, n));
+      for (Bin& bin : first_fit(items, 1_MB, order).bins) {
+        want.push_back(std::move(bin));
+      }
+    }
+    expect_same_blocks(merged.blocks, want);
+  }
 }
 
 TEST(MergeToUnitParallel, EveryFileInExactlyOneBlock) {
