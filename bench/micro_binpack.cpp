@@ -5,16 +5,22 @@
 // first-fit and multiset best-fit at n in {10k, 100k, 1M}, plus the
 // sharded parallel merge, and emits BENCH_binpack.json with items/sec for
 // each.  Every timed configuration is first checked for bit-identical bin
-// assignments against its reference oracle, so a speedup can never come
-// from a behaviour change.
+// assignments against its reference oracle, and the winner-tree
+// placements of pack_into_k / uniform_bins against the naive
+// std::min_element scans, so a speedup can never come from a behaviour
+// change.
 //
 // Modes:
 //   micro_binpack           full sweep (the 1M naive baseline takes a
 //                           minute or two by design — that is the point),
-//                           then one paper-scale merge_to_unit: an
-//                           HTML_18mil-shaped corpus of 18M files into
-//                           10 MB blocks, with the process's peak RSS
-//   micro_binpack --smoke   n=10k only; exits nonzero if the tree-based
+//                           then the pipeline's packing at paper scale:
+//                           merge_to_unit of an HTML_18mil-shaped corpus
+//                           of 18M files into 10 MB blocks (with the
+//                           process's peak RSS), and provision::assign
+//                           (uniform) of it onto 2 instances and of a
+//                           400k-file Text_400K corpus onto 85
+//   micro_binpack --smoke   n=10k only; exits nonzero if any packer
+//                           diverges from its naive scan or the tree-based
 //                           first-fit is slower than the naive reference.
 //                           Wired up as the `bench-smoke` CTest target.
 //
@@ -27,6 +33,7 @@
 
 #include <sys/resource.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cstdio>
 #include <cstring>
@@ -39,8 +46,10 @@
 #include "obs/metrics.hpp"
 #include "obs/recorder.hpp"
 #include "obs/trace.hpp"
+#include "provision/planner.hpp"
 #include "reshape/binpack.hpp"
 #include "reshape/merge.hpp"
+#include "reshape/pack_index.hpp"
 
 namespace {
 
@@ -79,6 +88,47 @@ bool identical(const std::vector<pack::Bin>& a,
     }
   }
   return true;
+}
+
+/// The bin each item gets from the textbook O(n·k) scans: the leftmost of
+/// k bins with room for it when `capacity` is nonzero (pack_into_k), else
+/// the least-loaded bin by std::min_element (uniform_bins, and
+/// pack_into_k's spill).
+std::vector<std::size_t> naive_placements(const std::vector<pack::Item>& items,
+                                          std::size_t k, Bytes capacity) {
+  std::vector<std::uint64_t> used(k, 0);
+  std::vector<std::size_t> placed;
+  placed.reserve(items.size());
+  for (const pack::Item& item : items) {
+    std::size_t at = 0;
+    if (capacity.count() > 0) {
+      while (at < k && used[at] + item.size.count() > capacity.count()) ++at;
+    }
+    if (capacity.count() == 0 || at == k) {
+      at = static_cast<std::size_t>(
+          std::min_element(used.begin(), used.end()) - used.begin());
+    }
+    used[at] += item.size.count();
+    placed.push_back(at);
+  }
+  return placed;
+}
+
+/// The same decisions through place_into_k / place_least_loaded.
+std::vector<std::size_t> tree_placements(const std::vector<pack::Item>& items,
+                                         std::size_t k, Bytes capacity) {
+  std::vector<std::size_t> placed;
+  placed.reserve(items.size());
+  const auto record = [&placed](std::size_t at, const pack::Item&) {
+    placed.push_back(at);
+  };
+  const std::span<const pack::Item> seq(items);
+  if (capacity.count() > 0) {
+    pack::place_into_k(seq, k, capacity, record);
+  } else {
+    pack::place_least_loaded(seq, k, record);
+  }
+  return placed;
 }
 
 /// Best wall time of `reps` runs of fn() (best-of damps scheduler noise).
@@ -156,6 +206,26 @@ int main(int argc, char** argv) {
       all_identical = false;
       continue;
     }
+    // uniform_bins (no capacity), then pack_into_k at 3/4 of an even
+    // share, so first-fit fills the bins and the last quarter spills.
+    Bytes volume{0};
+    for (const pack::Item& item : items) volume += item.size;
+    bool placements_identical = true;
+    for (const std::size_t k : {std::size_t{2}, std::size_t{85}}) {
+      for (const Bytes cap : {Bytes(0), Bytes(volume.count() * 3 / (4 * k))}) {
+        if (tree_placements(items, k, cap) != naive_placements(items, k, cap)) {
+          std::fprintf(stderr,
+                       "FATAL: winner-tree placement diverged from the naive "
+                       "scan at n=%zu, k=%zu, capacity %llu\n",
+                       n, k, static_cast<unsigned long long>(cap.count()));
+          placements_identical = false;
+        }
+      }
+    }
+    if (!placements_identical) {
+      all_identical = false;
+      continue;
+    }
 
     const double t_ff_ref = time_best_of(reps, [&] {
       (void)pack::first_fit_reference(items, kCapacity);
@@ -201,29 +271,54 @@ int main(int argc, char** argv) {
               "%zu-shard %.4f (delta %.4f)\n",
               seq.fill_factor(), kShards, par.fill_factor(), fill_delta);
 
-  // Paper scale (full sweep only): the pipeline's own merge at HTML_18mil
-  // size.  Peak RSS is the whole process's, so it bounds the merge's.
-  struct PaperScale {
+  // Paper scale (full sweep only): the pipeline's own packing at the
+  // sizes it runs — the HTML_18mil merge into 10 MB blocks, and the
+  // uniform planner's assign onto the instance counts its plans reach.
+  // Peak RSS is the whole process's, so it bounds theirs.
+  struct PaperRow {
+    std::string algo;
     std::size_t files = 0;
+    std::size_t bins = 0;  // blocks or instances
     double seconds = 0.0;
-    std::size_t blocks = 0;
-    double peak_rss_mib = 0.0;
-  } paper;
+  };
+  std::vector<PaperRow> paper;
+  double peak_rss_mib = 0.0;
   if (!smoke) {
-    constexpr std::size_t kPaperFiles = 18'000'000;
-    Rng rng(18);
-    const corpus::Corpus html = corpus::Corpus::generate(
-        corpus::html_18mil_sizes(), kPaperFiles, rng);
-    paper.files = kPaperFiles;
-    paper.seconds = time_best_of(1, [&] {
-      paper.blocks = pack::merge_to_unit(html, 10_MB).block_count();
-    });
-    record("merge_to_unit_html18m", kPaperFiles, paper.seconds);
+    const auto assign_row = [&paper, &record](const char* algo,
+                                              const corpus::Corpus& data,
+                                              std::size_t k) {
+      const double seconds = time_best_of(3, [&] {
+        (void)provision::assign(data, provision::PackingStrategy::kUniform,
+                                k, data.total_volume() / k);
+      });
+      record(algo, data.file_count(), seconds);
+      paper.push_back(PaperRow{algo, data.file_count(), k, seconds});
+    };
+    {
+      constexpr std::size_t kHtmlFiles = 18'000'000;
+      Rng rng(18);
+      const corpus::Corpus html = corpus::Corpus::generate(
+          corpus::html_18mil_sizes(), kHtmlFiles, rng);
+      std::size_t blocks = 0;
+      const double seconds = time_best_of(1, [&] {
+        blocks = pack::merge_to_unit(html, 10_MB).block_count();
+      });
+      record("merge_to_unit_html18m", kHtmlFiles, seconds);
+      paper.push_back(
+          PaperRow{"merge_to_unit_html18m", kHtmlFiles, blocks, seconds});
+      assign_row("assign_uniform_html18m", html, 2);
+    }
+    {
+      Rng rng(400);
+      const corpus::Corpus text = corpus::Corpus::generate(
+          corpus::text_400k_sizes(), 400'000, rng);
+      assign_row("assign_uniform_text400k", text, 85);
+    }
     rusage usage{};
     getrusage(RUSAGE_SELF, &usage);
-    paper.peak_rss_mib = static_cast<double>(usage.ru_maxrss) / 1024.0;
+    peak_rss_mib = static_cast<double>(usage.ru_maxrss) / 1024.0;
     std::printf("-- paper scale: %zu blocks of <= 10 MB, peak RSS %.0f MiB\n",
-                paper.blocks, paper.peak_rss_mib);
+                paper.front().bins, peak_rss_mib);
   }
 
   FILE* out = std::fopen("BENCH_binpack.json", "w");
@@ -245,17 +340,21 @@ int main(int argc, char** argv) {
       std::fprintf(out, "  \"first_fit_speedup_at_100k\": %.2f,\n",
                    speedup_at_100k);
     }
-    if (paper.files > 0) {
+    if (!paper.empty()) {
+      std::fprintf(out, "  \"paper_scale\": {\n");
+      for (const PaperRow& row : paper) {
+        const bool merge = row.algo.starts_with("merge");
+        std::fprintf(out,
+                     "    \"%s\": {\"files\": %zu, \"%s\": %zu, "
+                     "\"seconds\": %.6f, \"items_per_sec\": %.1f},\n",
+                     row.algo.c_str(), row.files,
+                     merge ? "blocks" : "instances", row.bins, row.seconds,
+                     static_cast<double>(row.files) / row.seconds);
+      }
       std::fprintf(out,
-                   "  \"paper_scale\": {\"corpus\": \"HTML_18mil\", "
-                   "\"files\": %zu, \"unit_bytes\": %llu, "
-                   "\"seconds\": %.6f, \"items_per_sec\": %.1f, "
-                   "\"blocks\": %zu, \"peak_rss_mib\": %.1f},\n",
-                   paper.files,
+                   "    \"unit_bytes\": %llu, \"peak_rss_mib\": %.1f\n  },\n",
                    static_cast<unsigned long long>((10_MB).count()),
-                   paper.seconds,
-                   static_cast<double>(paper.files) / paper.seconds,
-                   paper.blocks, paper.peak_rss_mib);
+                   peak_rss_mib);
     }
     std::fprintf(out,
                  "  \"parallel\": {\"shards\": %zu, "

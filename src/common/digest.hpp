@@ -18,11 +18,20 @@ namespace reshape {
 class Digest64 {
  public:
   Digest64& update(std::string_view data);
-  Digest64& update_u64(std::uint64_t v);
+  /// Inline: the merge digests every file id as it places it.
+  Digest64& update_u64(std::uint64_t v) {
+    for (int byte = 0; byte < 8; ++byte) {
+      hash_ ^= (v >> (8 * byte)) & 0xffULL;
+      hash_ *= kPrime;
+    }
+    return *this;
+  }
 
   [[nodiscard]] std::uint64_t value() const { return hash_; }
 
  private:
+  static constexpr std::uint64_t kPrime = 0x100000001b3ULL;
+
   std::uint64_t hash_ = 0xcbf29ce484222325ULL;
 };
 

@@ -8,7 +8,10 @@
 namespace reshape::corpus {
 
 Corpus::Corpus(std::vector<VirtualFile> files) : files_(std::move(files)) {
-  for (const VirtualFile& f : files_) total_ += f.size;
+  for (const VirtualFile& f : files_) {
+    total_ += f.size;
+    max_ = std::max(max_, f.size);
+  }
 }
 
 Corpus Corpus::generate(const FileSizeDistribution& dist, std::size_t count,
@@ -30,12 +33,6 @@ Corpus Corpus::generate(const FileSizeDistribution& dist, std::size_t count,
     files.push_back(f);
   }
   return Corpus(std::move(files));
-}
-
-Bytes Corpus::max_file_size() const {
-  Bytes max{0};
-  for (const VirtualFile& f : files_) max = std::max(max, f.size);
-  return max;
 }
 
 Bytes Corpus::mean_file_size() const {

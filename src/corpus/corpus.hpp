@@ -48,7 +48,8 @@ class Corpus {
   [[nodiscard]] std::size_t file_count() const { return files_.size(); }
   [[nodiscard]] bool empty() const { return files_.empty(); }
   [[nodiscard]] Bytes total_volume() const { return total_; }
-  [[nodiscard]] Bytes max_file_size() const;
+  /// Cached at construction; a corpus never changes after it.
+  [[nodiscard]] Bytes max_file_size() const { return max_; }
   [[nodiscard]] Bytes mean_file_size() const;
   /// Volume-weighted mean language complexity (1.0 for a default corpus).
   [[nodiscard]] double mean_complexity() const;
@@ -80,6 +81,7 @@ class Corpus {
  private:
   std::vector<VirtualFile> files_;
   Bytes total_{0};
+  Bytes max_{0};
 };
 
 }  // namespace reshape::corpus

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <span>
+#include <vector>
 
 #include "common/error.hpp"
 #include "provision/cost.hpp"
@@ -59,6 +60,41 @@ std::vector<Assignment> assign(const corpus::Corpus& data,
   return assignments;
 }
 
+namespace {
+
+/// The fewest instances a balanced plan can keep within x0, by pigeonhole.
+/// If c_j files are each larger than x0 / (j + 1) and c_j > j * k, some
+/// instance of k holds j + 1 of them and exceeds x0; so k >= ceil(c_j / j)
+/// for every j >= 1, and k >= ceil(V / x0).  Past j = n / ceil(V / x0)
+/// no ceil(c_j / j) (c_j <= n) can beat ceil(V / x0); j also stops at
+/// kMaxShare, which keeps the count table small and the scan to one
+/// compare for any file under x0 / (kMaxShare + 1).
+std::size_t balanced_lower_bound(const corpus::Corpus& data, Bytes x0) {
+  constexpr std::uint64_t kMaxShare = 4096;
+  const std::size_t volume_bound = instances_needed(data.total_volume(), x0);
+  if (volume_bound == 0) return 0;  // nothing but empty files
+  const std::uint64_t x = x0.count();
+  const std::uint64_t max_j =
+      std::min<std::uint64_t>(kMaxShare, data.file_count() / volume_bound);
+  // A file counts towards c_j from j = floor(x0 / size) up, so only files
+  // above x0 / (max_j + 1) count towards some j <= max_j.
+  const std::uint64_t floor_size = x / (max_j + 1);
+  if (data.max_file_size().count() <= floor_size) return volume_bound;
+  std::vector<std::uint64_t> from(max_j + 1, 0);
+  for (const corpus::VirtualFile& f : data.files()) {
+    if (f.size.count() > floor_size) ++from[x / f.size.count()];
+  }
+  std::size_t bound = volume_bound;
+  std::uint64_t larger = 0;  // c_j
+  for (std::uint64_t j = 1; j <= max_j; ++j) {
+    larger += from[j];
+    bound = std::max(bound, static_cast<std::size_t>((larger + j - 1) / j));
+  }
+  return bound;
+}
+
+}  // namespace
+
 ExecutionPlan plan(const model::Predictor& predictor,
                    const corpus::Corpus& data, const PlanOptions& options) {
   RESHAPE_REQUIRE(!data.empty(), "nothing to plan for");
@@ -84,9 +120,10 @@ ExecutionPlan plan(const model::Predictor& predictor,
 
   // Greedy balancing over ceil(V / x0) instances can leave the largest
   // share above x0, and then the plan's own makespan misses its deadline.
-  // The balanced strategies add an instance and balance again until it
-  // fits.  That stops: every file is <= x0, and once the instances
-  // outnumber the files each one gets a share of its own.
+  // The balanced strategies start at a bound every smaller count provably
+  // misses, then add an instance and balance again until it fits.  That
+  // stops: every file is <= x0, and once the instances outnumber the
+  // files each one gets a share of its own.
   const auto largest_volume = [&plan] {
     Bytes largest{0};
     for (const Assignment& a : plan.assignments) {
@@ -94,7 +131,9 @@ ExecutionPlan plan(const model::Predictor& predictor,
     }
     return largest;
   };
-  std::size_t instances = instances_needed(data.total_volume(), x0);
+  std::size_t instances = options.strategy == PackingStrategy::kFirstFit
+                              ? instances_needed(data.total_volume(), x0)
+                              : balanced_lower_bound(data, x0);
   plan.assignments = assign(data, options.strategy, instances, x0);
   while (options.strategy != PackingStrategy::kFirstFit &&
          largest_volume() > x0) {

@@ -41,11 +41,10 @@ void place_new_bin(std::vector<Bin>& bins, const Item& item, Bytes capacity) {
   bins.push_back(std::move(bin));
 }
 
-/// place(bin, item) callback that appends the item to `bins[bin]`.
-auto add_to(std::vector<Bin>& bins) {
-  return [&bins](std::size_t at, const Item& item) {
-    bins[at].used += item.size;
-    bins[at].item_ids.push_back(item.id);
+/// place(bin, item) callback that adds the item to `bins[bin]`.
+auto add_to(std::vector<Bin>& bins, Bytes capacity) {
+  return [&bins, capacity](std::size_t at, const Item& item) {
+    add_to_bin(bins, at, item, capacity);
   };
 }
 
@@ -53,8 +52,11 @@ auto add_to(std::vector<Bin>& bins) {
 
 PackResult first_fit(std::span<const Item> items, Bytes capacity,
                      ItemOrder order) {
+  PackResult result;
   std::vector<Item> sorted;
-  return {first_fit_bins(in_order(items, order, sorted), capacity)};
+  place_first_fit(in_order(items, order, sorted), capacity,
+                  add_to(result.bins, capacity));
+  return result;
 }
 
 PackResult best_fit(std::span<const Item> items, Bytes capacity,
@@ -141,7 +143,8 @@ std::vector<Bin> pack_into_k(std::span<const Item> items, std::size_t k,
                              Bytes capacity, ItemOrder order) {
   std::vector<Bin> bins(k, Bin{capacity, Bytes{0}, {}});
   std::vector<Item> sorted;
-  place_into_k(in_order(items, order, sorted), k, capacity, add_to(bins));
+  place_into_k(in_order(items, order, sorted), k, capacity,
+               add_to(bins, capacity));
   return bins;
 }
 
@@ -150,7 +153,7 @@ std::vector<Bin> uniform_bins(std::span<const Item> items, std::size_t k) {
   Bytes total{0};
   for (const Item& item : items) total += item.size;
   std::vector<Bin> bins(k, Bin{total, Bytes{0}, {}});  // capacity advisory
-  place_least_loaded(items, k, add_to(bins));
+  place_least_loaded(items, k, add_to(bins, total));
   return bins;
 }
 

@@ -84,14 +84,14 @@ struct PackResult {
 /// in no bin spill into the currently least-loaded bin (capacity is a
 /// target, not a hard limit — the planner prefers a balanced overflow to
 /// an unschedulable input).  Returns k bins.  O(n log k): tournament-tree
-/// fit queries plus a lazy min-heap for the spill target.
+/// fit queries plus a winner tree over the loads for the spill target.
 [[nodiscard]] std::vector<Bin> pack_into_k(std::span<const Item> items,
                                            std::size_t k, Bytes capacity,
                                            ItemOrder order = ItemOrder::kOriginal);
 
 /// Balanced assignment into `k` bins: each item goes to the least-loaded
 /// bin (greedy makespan balance; the paper's "distribute the data
-/// uniformly" improvement, Fig. 8(b)).  O(n log k) via a lazy min-heap.
+/// uniformly" improvement, Fig. 8(b)).  O(n log k) via a winner tree.
 [[nodiscard]] std::vector<Bin> uniform_bins(std::span<const Item> items,
                                             std::size_t k);
 

@@ -15,19 +15,41 @@
 namespace reshape::pack {
 
 namespace {
-/// First-fit over the files themselves, in `order` (no Item copy).
-std::vector<Bin> pack_files(std::span<const corpus::VirtualFile> files,
-                            Bytes unit, ItemOrder order) {
-  std::vector<corpus::VirtualFile> sorted;
-  return first_fit_bins(in_order(files, order, sorted), unit);
-}
-
-void stamp_digests(MergedCorpus& merged) {
-  merged.digests.clear();
-  merged.digests.reserve(merged.blocks.size());
-  for (const Bin& bin : merged.blocks) {
-    merged.digests.push_back(block_digest(bin));
+/// A block's structural digest, fed one member id at a time and finished
+/// with the block's used size — the one definition behind block_digest and
+/// the digests the merge builds as it places files.
+class BlockDigest {
+ public:
+  void add(std::uint64_t id) { d_.update_u64(id); }
+  [[nodiscard]] std::uint64_t finish(Bytes used) {
+    return d_.update_u64(used.count()).value();
   }
+
+ private:
+  Digest64 d_;
+};
+
+/// First-fit over the files themselves, in `order` (no Item copy).  Each
+/// block's digest grows as its files are placed and is finished once the
+/// pass is done, so no second walk over the member ids is needed.
+MergedCorpus pack_files(std::span<const corpus::VirtualFile> files,
+                        Bytes unit, ItemOrder order) {
+  MergedCorpus merged;
+  merged.unit = unit;
+  std::vector<BlockDigest> open;  // one per block
+  std::vector<corpus::VirtualFile> sorted;
+  place_first_fit(in_order(files, order, sorted), unit,
+                  [&merged, &open, unit](std::size_t at,
+                                         const corpus::VirtualFile& f) {
+                    add_to_bin(merged.blocks, at, f, unit);
+                    if (at == open.size()) open.emplace_back();
+                    open[at].add(f.id);
+                  });
+  merged.digests.reserve(open.size());
+  for (std::size_t b = 0; b < open.size(); ++b) {
+    merged.digests.push_back(open[b].finish(merged.blocks[b].used));
+  }
+  return merged;
 }
 
 /// Packing-quality tallies for one finished merge.
@@ -48,10 +70,9 @@ void record_merge_metrics(const MergedCorpus& merged) {
 }  // namespace
 
 std::uint64_t block_digest(const Bin& bin) {
-  Digest64 d;
-  for (const std::uint64_t id : bin.item_ids) d.update_u64(id);
-  d.update_u64(bin.used.count());
-  return d.value();
+  BlockDigest d;
+  for (const std::uint64_t id : bin.item_ids) d.add(id);
+  return d.finish(bin.used);
 }
 
 std::vector<std::uint64_t> content_digests(
@@ -97,10 +118,7 @@ double MergedCorpus::fill_factor() const {
 MergedCorpus merge_to_unit(const corpus::Corpus& corpus, Bytes unit,
                            ItemOrder order) {
   const obs::WallSpan span("reshape", "merge_sequential");
-  MergedCorpus merged;
-  merged.unit = unit;
-  merged.blocks = pack_files(corpus.files(), unit, order);
-  stamp_digests(merged);
+  MergedCorpus merged = pack_files(corpus.files(), unit, order);
   record_merge_metrics(merged);
   return merged;
 }
@@ -120,7 +138,7 @@ MergedCorpus merge_to_unit_parallel(const corpus::Corpus& corpus, Bytes unit,
   // parallel_for hands each worker one whole shard, so the per-task
   // dispatch cost is amortized over thousands of placements.
   const std::size_t grain = (files.size() + shards - 1) / shards;
-  std::vector<std::vector<Bin>> parts((files.size() + grain - 1) / grain);
+  std::vector<MergedCorpus> parts((files.size() + grain - 1) / grain);
   ThreadPool pool(std::min(
       shards, std::max<std::size_t>(1, std::thread::hardware_concurrency())));
   pool.parallel_for(files.size(), grain,
@@ -135,12 +153,14 @@ MergedCorpus merge_to_unit_parallel(const corpus::Corpus& corpus, Bytes unit,
   MergedCorpus merged;
   merged.unit = unit;
   std::size_t blocks = 0;
-  for (const std::vector<Bin>& part : parts) blocks += part.size();
+  for (const MergedCorpus& part : parts) blocks += part.block_count();
   merged.blocks.reserve(blocks);
-  for (std::vector<Bin>& part : parts) {
-    for (Bin& bin : part) merged.blocks.push_back(std::move(bin));
+  merged.digests.reserve(blocks);
+  for (MergedCorpus& part : parts) {
+    for (Bin& bin : part.blocks) merged.blocks.push_back(std::move(bin));
+    merged.digests.insert(merged.digests.end(), part.digests.begin(),
+                          part.digests.end());
   }
-  stamp_digests(merged);
   record_merge_metrics(merged);
   return merged;
 }
@@ -161,8 +181,8 @@ MergedCorpus derive_multiple(const MergedCorpus& base, std::uint64_t m) {
                                base.blocks[j].item_ids.end());
     }
     merged.blocks.push_back(std::move(combined));
+    merged.digests.push_back(block_digest(merged.blocks.back()));
   }
-  stamp_digests(merged);
   return merged;
 }
 

@@ -14,28 +14,27 @@
 //   * BestFitIndex — a balanced multiset keyed on (free space, bin index).
 //     lower_bound((need, 0)) yields the fullest bin that still fits, with
 //     ties broken toward the earliest-opened bin — exactly naive best-fit.
-//   * LoadHeap — a lazy min-heap over (bin load, bin index) for the
-//     least-loaded-bin scans in pack_into_k / uniform_bins.  Loads only
-//     grow, so stale entries surface before fresh ones and are popped.
+//   * LoadTree — a winner tree over k bin loads for the least-loaded-bin
+//     choices of pack_into_k / uniform_bins: the root is the lightest bin
+//     (lowest index among ties), and a placement rewrites one path.
 //
 // Residuals are signed: pack_into_k spills past capacity, driving a bin's
 // residual negative, and a negative residual must simply never match a
 // (non-negative) item size.
 //
 // The placement rules below walk any sequence of elements with `id` and
-// `size` members — pack::Item or corpus::VirtualFile.  first_fit_bins
-// builds Bins (first_fit, and merge_to_unit over a corpus's files in
-// place); place_into_k and place_least_loaded report each decision as
-// place(bin, element), so pack_into_k / uniform_bins fill Bins from them
-// and the planner keeps only per-instance totals.
+// `size` members — pack::Item or corpus::VirtualFile — and report each
+// decision as place(bin, element).  first_fit / pack_into_k /
+// uniform_bins fill Bins from those calls (add_to_bin), merge_to_unit also
+// digests each block as its files land, and the planner keeps only
+// per-instance totals.
 #pragma once
 
 #include <algorithm>
+#include <bit>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <limits>
-#include <queue>
 #include <set>
 #include <span>
 #include <utility>
@@ -144,32 +143,43 @@ class BestFitIndex {
   std::set<std::pair<std::int64_t, std::size_t>> by_free_;
 };
 
-/// Lazy min-heap over bin loads for least-loaded-bin selection in O(log n)
-/// amortized.  Matches std::min_element's lowest-index tie-break because
-/// entries order lexicographically on (load, index).
-class LoadHeap {
+/// Winner tree over `bins` loads: each internal node holds the index of
+/// its subtree's least-loaded bin, lowest index among ties — the bin
+/// std::min_element picks — so the root holds the overall one.  Leaves are
+/// padded to a power of two with UINT64_MAX loads; padding sits right of
+/// every real leaf and ties go left, so it never wins.  add() replays the
+/// one leaf-to-root path: no pushes, no stale entries, no allocation.
+class LoadTree {
  public:
-  explicit LoadHeap(std::size_t bins) : load_(bins, 0) {
-    for (std::size_t i = 0; i < bins; ++i) heap_.emplace(0, i);
+  explicit LoadTree(std::size_t bins)
+      : leaves_(std::bit_ceil(bins)), load_(leaves_, kPad), win_(2 * leaves_) {
+    std::fill_n(load_.begin(), bins, 0);
+    for (std::size_t i = 0; i < leaves_; ++i) win_[leaves_ + i] = i;
+    for (std::size_t n = leaves_ - 1; n >= 1; --n) replay(n);
   }
 
   /// Index of the least-loaded bin (lowest index among ties).
-  [[nodiscard]] std::size_t min_index() {
-    while (heap_.top().first != load_[heap_.top().second]) heap_.pop();
-    return heap_.top().second;
-  }
+  [[nodiscard]] std::size_t min_index() const { return win_[1]; }
 
   void add(std::size_t bin, std::uint64_t amount) {
     load_[bin] += amount;
-    heap_.emplace(load_[bin], bin);
+    for (std::size_t n = (leaves_ + bin) / 2; n >= 1; n /= 2) replay(n);
   }
 
  private:
-  std::vector<std::uint64_t> load_;
-  std::priority_queue<std::pair<std::uint64_t, std::size_t>,
-                      std::vector<std::pair<std::uint64_t, std::size_t>>,
-                      std::greater<>>
-      heap_;
+  /// Node n takes the lighter child's winner; the left one on a tie.
+  void replay(std::size_t n) {
+    const std::size_t left = win_[2 * n];
+    const std::size_t right = win_[2 * n + 1];
+    win_[n] = load_[right] < load_[left] ? right : left;
+  }
+
+  static constexpr std::uint64_t kPad =
+      std::numeric_limits<std::uint64_t>::max();
+
+  std::size_t leaves_;
+  std::vector<std::uint64_t> load_;  // per leaf
+  std::vector<std::size_t> win_;     // per node; leaves hold themselves
 };
 
 /// The indices keep residuals as signed 64-bit; sizes at or above 2^63
@@ -196,28 +206,38 @@ std::span<const T> in_order(std::span<const T> items, ItemOrder order,
   return sorted;
 }
 
-/// Subset-sum first-fit into Bins: each element goes to the leftmost
-/// open bin with room, or opens a bin of max(capacity, size) — files are
-/// unsplittable, so an oversize one gets a bin of its own size.
-template <typename T>
-std::vector<Bin> first_fit_bins(std::span<const T> seq, Bytes capacity) {
+/// Subset-sum first-fit: each element goes to the leftmost open bin with
+/// room, or opens the next bin with room for max(capacity, size) — files
+/// are unsplittable, so an oversize one gets a bin of its own size.  A
+/// place(bin, element) whose bin is one past every bin reported so far
+/// opens that bin.
+template <typename T, typename Place>
+void place_first_fit(std::span<const T> seq, Bytes capacity, Place&& place) {
   RESHAPE_REQUIRE(capacity.count() > 0, "bin capacity must be nonzero");
-  std::vector<Bin> bins;
   detail::ResidualTree tree;
   for (const T& x : seq) {
     const std::int64_t need = detail::signed_size(x.size);
     std::size_t at = tree.find_first(need);
     if (at == detail::ResidualTree::npos) {
-      bins.push_back(Bin{std::max(capacity, x.size), Bytes{0}, {}});
-      at = tree.push_bin(
-          static_cast<std::int64_t>((bins.back().capacity - x.size).count()));
+      at = tree.push_bin(static_cast<std::int64_t>(
+          (std::max(capacity, x.size) - x.size).count()));
     } else {
       tree.deduct(at, need);
     }
-    bins[at].used += x.size;
-    bins[at].item_ids.push_back(x.id);
+    place(at, x);
   }
-  return bins;
+}
+
+/// Adds `x` to bins[at].  `at == bins.size()` is a bin place_first_fit
+/// just opened: it is appended with room for max(capacity, x.size) first.
+template <typename T>
+void add_to_bin(std::vector<Bin>& bins, std::size_t at, const T& x,
+                Bytes capacity) {
+  if (at == bins.size()) {
+    bins.push_back(Bin{std::max(capacity, x.size), Bytes{0}, {}});
+  }
+  bins[at].used += x.size;
+  bins[at].item_ids.push_back(x.id);
 }
 
 /// pack_into_k's rule over exactly `k` bins of `capacity`: first-fit, and
@@ -228,7 +248,7 @@ void place_into_k(std::span<const T> seq, std::size_t k, Bytes capacity,
   RESHAPE_REQUIRE(k > 0, "need at least one bin");
   RESHAPE_REQUIRE(capacity.count() > 0, "bin capacity must be nonzero");
   detail::ResidualTree tree;
-  detail::LoadHeap loads(k);
+  detail::LoadTree loads(k);
   for (std::size_t i = 0; i < k; ++i) {
     tree.push_bin(static_cast<std::int64_t>(capacity.count()));
   }
@@ -251,7 +271,7 @@ template <typename T, typename Place>
 void place_least_loaded(std::span<const T> seq, std::size_t k,
                         Place&& place) {
   RESHAPE_REQUIRE(k > 0, "need at least one bin");
-  detail::LoadHeap loads(k);
+  detail::LoadTree loads(k);
   for (const T& x : seq) {
     const std::size_t at = loads.min_index();
     loads.add(at, x.size.count());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "common/error.hpp"
@@ -24,6 +25,33 @@ TEST(Corpus, TotalsAndMeans) {
   EXPECT_EQ(c.mean_file_size(), Bytes(5'500));
   EXPECT_EQ(c.max_file_size(), Bytes(10'000));
   EXPECT_FALSE(c.empty());
+}
+
+/// max_file_size() is cached at construction; it must equal a scan.
+Bytes scanned_max(const Corpus& c) {
+  Bytes max{0};
+  for (const VirtualFile& f : c.files()) max = std::max(max, f.size);
+  return max;
+}
+
+TEST(Corpus, MaxFileSizeEqualsScan) {
+  EXPECT_EQ(Corpus().max_file_size(), Bytes(0));
+  Rng rng(12);
+  const Corpus c = Corpus::generate(text_400k_sizes(), 5000, rng);
+  EXPECT_EQ(c.max_file_size(), scanned_max(c));
+  EXPECT_GT(c.max_file_size(), Bytes(0));
+  for (const Bytes target : {Bytes(0), 1_MB, c.total_volume()}) {
+    const Corpus head = c.take_volume(target);
+    EXPECT_EQ(head.max_file_size(), scanned_max(head));
+    const Corpus sample = c.sample_volume(target, rng);
+    EXPECT_EQ(sample.max_file_size(), scanned_max(sample));
+  }
+  for (const std::size_t k :
+       {std::size_t{1}, std::size_t{7}, std::size_t{20'000}}) {
+    for (const Corpus& part : c.split_even(k)) {
+      EXPECT_EQ(part.max_file_size(), scanned_max(part));
+    }
+  }
 }
 
 TEST(Corpus, GenerateDrawsFromDistribution) {

@@ -338,6 +338,74 @@ TEST(StaticPlanner, PlanMatchesBinLevelOracle) {
   }
 }
 
+// Files close to x0 defeat the greedy split: 60 B files under x0 = 100 B
+// need one instance each, and adding one instance per rebalance took
+// O(n) rebalances.  Balanced plans start at the pigeonhole bound instead;
+// they must land on the plan the one-at-a-time loop reaches.
+model::Predictor one_second_per_byte() {
+  return model::Predictor(model::AffineFit{0.0, 1.0, {}});
+}
+
+corpus::Corpus files_of(const std::vector<std::uint64_t>& sizes) {
+  std::vector<corpus::VirtualFile> files;
+  for (const std::uint64_t size : sizes) {
+    files.push_back(corpus::VirtualFile{files.size(), Bytes(size), 1.0});
+  }
+  return corpus::Corpus(std::move(files));
+}
+
+TEST(StaticPlanner, OvershootBoundMatchesOneAtATimeLoop) {
+  const StaticPlanner planner(one_second_per_byte());
+  Rng rng(60);
+  for (const std::size_t n :
+       {std::size_t{1000}, std::size_t{2000}, std::size_t{4000}}) {
+    // 50 B files pair up exactly at x0: a size of exactly x0 / (j + 1)
+    // must not count towards c_j.
+    std::vector<std::uint64_t> sixty(n, 60), fifty(n, 50), mixed, small;
+    for (std::size_t i = 0; i < n; ++i) {
+      mixed.push_back(1 + rng.uniform_below(100));  // every j counts
+      small.push_back(1 + rng.uniform_below(12));   // j up to 100
+    }
+    for (const corpus::Corpus& data : {files_of(sixty), files_of(fifty),
+                                       files_of(mixed), files_of(small)}) {
+      for (const PackingStrategy strategy :
+           {PackingStrategy::kUniform, PackingStrategy::kAdjusted}) {
+        PlanOptions options;
+        options.deadline = Seconds(100.0);
+        options.strategy = strategy;
+        const ExecutionPlan plan = planner.plan(data, options);
+        const Bytes x0 = plan.per_instance_target;
+        ASSERT_EQ(x0, Bytes(100));
+        std::size_t k = instances_needed(data.total_volume(), x0);
+        std::vector<Assignment> want = oracle_assign(data, strategy, k, x0);
+        while (std::any_of(want.begin(), want.end(), [x0](const Assignment& a) {
+          return a.volume > x0;
+        })) {
+          want = oracle_assign(data, strategy, ++k, x0);
+        }
+        expect_same_assignments(plan.assignments, want);
+      }
+    }
+  }
+}
+
+// At 200k files the one-at-a-time loop would take 80k rebalances of 200k
+// files each; from the bound it is one.
+TEST(StaticPlanner, OvershootBoundPlansLargeCorporaAtOnce) {
+  const StaticPlanner planner(one_second_per_byte());
+  PlanOptions options;
+  options.deadline = Seconds(100.0);
+  options.strategy = PackingStrategy::kUniform;
+  const ExecutionPlan plan =
+      planner.plan(files_of(std::vector<std::uint64_t>(200'000, 60)), options);
+  ASSERT_EQ(plan.assignments.size(), 200'000u);
+  for (const Assignment& a : plan.assignments) {
+    EXPECT_EQ(a.volume, Bytes(60));
+    EXPECT_EQ(a.file_count, 1u);
+  }
+  EXPECT_LE(plan.predicted_makespan, plan.planning_deadline);
+}
+
 TEST(PackingStrategyNames, Render) {
   EXPECT_EQ(to_string(PackingStrategy::kFirstFit), "first-fit");
   EXPECT_EQ(to_string(PackingStrategy::kAdjusted), "adjusted-deadline");

@@ -1,13 +1,15 @@
 // The contract of the O(log b) packers: bit-for-bit identical bin
 // assignments to the naive reference scans, across 1k seeded corpora with
-// varied sizes, oversize items and both item orders; and the growing
-// tournament tree against a linear scan of the same residuals.
+// varied sizes, oversize items and both item orders; the fixed-k
+// placements against std::min_element scans; and the growing tournament
+// tree against a linear scan of the same residuals.
 
 #include "reshape/binpack.hpp"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <span>
 #include <vector>
 
 #include "reshape/pack_index.hpp"
@@ -144,6 +146,80 @@ TEST(PackEquivalence, FixedBinPackersMatchNaiveScans) {
     const PackResult got_u{uniform_bins(items, k)};
     const PackResult want_u{naive_uniform_bins(items, k)};
     expect_identical(got_u, want_u, "uniform_bins", seed);
+  }
+}
+
+// The placement rules themselves against the textbook scans, decision by
+// decision: place_least_loaded takes std::min_element's bin (lowest index
+// among ties); place_into_k takes the leftmost bin with room, else spills
+// there.  Instance counts from 1 to more than the item count, all-equal sizes
+// (every choice a tie), zero-size items, and oversize items that spill.
+
+std::vector<std::size_t> naive_placements(const std::vector<Item>& items,
+                                          std::size_t k, Bytes capacity) {
+  std::vector<Bytes> used(k, Bytes{0});
+  std::vector<std::size_t> placed;
+  for (const Item& item : items) {
+    std::size_t at = 0;
+    if (capacity.count() > 0) {
+      while (at < k && used[at] + item.size > capacity) ++at;
+    }
+    if (capacity.count() == 0 || at == k) {
+      at = static_cast<std::size_t>(
+          std::min_element(used.begin(), used.end()) - used.begin());
+    }
+    used[at] += item.size;
+    placed.push_back(at);
+  }
+  return placed;
+}
+
+/// place_into_k when `capacity` is nonzero, else place_least_loaded.
+std::vector<std::size_t> tree_placements(const std::vector<Item>& items,
+                                         std::size_t k, Bytes capacity) {
+  std::vector<std::size_t> placed;
+  const auto record = [&placed](std::size_t at, const Item&) {
+    placed.push_back(at);
+  };
+  const std::span<const Item> seq(items);
+  if (capacity.count() > 0) {
+    place_into_k(seq, k, capacity, record);
+  } else {
+    place_least_loaded(seq, k, record);
+  }
+  return placed;
+}
+
+TEST(PackEquivalence, WinnerTreePlacementsMatchNaiveScans) {
+  Rng rng(5150);
+  for (const std::size_t k : {std::size_t{1}, std::size_t{2}, std::size_t{3},
+                              std::size_t{7}, std::size_t{64}, std::size_t{85},
+                              std::size_t{1000}}) {
+    std::vector<std::vector<Item>> sets;
+    for (int i = 0; i < 8; ++i) sets.push_back(fuzz_items(rng));
+    for (const Bytes size : {Bytes(0), Bytes(100)}) {  // ties everywhere
+      std::vector<Item> same;
+      for (std::uint64_t id = 0; id < 3 * k + 5; ++id) {
+        same.push_back(Item{id, size});
+      }
+      sets.push_back(same);
+      same.resize(k / 2);  // fewer items than bins
+      sets.push_back(std::move(same));
+    }
+    for (const std::vector<Item>& items : sets) {
+      Bytes volume{0};
+      for (const Item& item : items) volume += item.size;
+      // No capacity (uniform), a tight one (most items spill), one at 3/4
+      // of an even share (the tail spills), and room for everything.
+      for (const Bytes cap :
+           {Bytes(0), Bytes(1'000), volume * 3 / (4 * k) + Bytes(1),
+            volume + Bytes(1)}) {
+        ASSERT_EQ(tree_placements(items, k, cap),
+                  naive_placements(items, k, cap))
+            << "k " << k << ", " << items.size() << " items, capacity "
+            << cap.count();
+      }
+    }
   }
 }
 

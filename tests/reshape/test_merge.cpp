@@ -86,6 +86,38 @@ TEST(MergeToUnit, MatchesFirstFitOverMaterialisedItems) {
   }
 }
 
+// The merge builds each block's digest while it places the files; every
+// digest must equal block_digest over the finished block.  The unit sits
+// below the largest files (oversize blocks), and the second corpus ends
+// in a file too large for any open block, so its last file opens its last
+// block.
+TEST(MergeToUnit, DigestsEqualBlockDigest) {
+  const auto expect_digests = [](const MergedCorpus& merged) {
+    ASSERT_EQ(merged.digests.size(), merged.block_count());
+    for (std::size_t b = 0; b < merged.block_count(); ++b) {
+      EXPECT_EQ(merged.digests[b], block_digest(merged.blocks[b]))
+          << "block " << b;
+    }
+  };
+  std::vector<corpus::VirtualFile> files = sample_corpus(5000, 9).files();
+  const corpus::Corpus plain{files};
+  files.push_back(corpus::VirtualFile{files.size(), 3_MB, 1.0});
+  const corpus::Corpus last_opens{std::move(files)};
+  for (const corpus::Corpus* c : {&plain, &last_opens}) {
+    for (const Bytes unit : {64_kB, 1_MB}) {
+      for (const ItemOrder order :
+           {ItemOrder::kOriginal, ItemOrder::kDecreasing}) {
+        expect_digests(merge_to_unit(*c, unit, order));
+        expect_digests(merge_to_unit_parallel(*c, unit, order, 3));
+      }
+    }
+  }
+  const MergedCorpus merged = merge_to_unit(last_opens, 1_MB);
+  EXPECT_EQ(merged.blocks.back().item_ids,
+            std::vector<std::uint64_t>{last_opens.file_count() - 1});
+  EXPECT_GT(merged.blocks.back().used, 1_MB);
+}
+
 // Each shard packs its slice of the files in place: the blocks are
 // first_fit over each contiguous slice's items, concatenated.
 TEST(MergeToUnitParallel, ShardsMatchFirstFitOverTheirSlices) {
